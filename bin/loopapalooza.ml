@@ -75,10 +75,7 @@ let handle_errors_int f =
   | Interp.Rvalue.Runtime_error msg ->
       Printf.eprintf "runtime error: %s\n" msg;
       1
-  | Invalid_argument msg
-  | Loopa.Config.Bad_config msg
-  | Exec.Remote.Remote_error msg
-  | Service.Client.Client_error msg ->
+  | Invalid_argument msg | Loopa.Config.Bad_config msg ->
       Printf.eprintf "error: %s\n" msg;
       2
   | Sys_error msg ->
@@ -163,44 +160,6 @@ let cache_arg =
            every result-shaping knob and the code revision \
            ($(b,LOOPA_GIT_REV)), so a warm hit replays byte-identical output \
            without compiling or classifying anything.")
-
-(* ---- remote workers (sweep / campaign) ---- *)
-
-let workers_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "workers" ] ~docv:"HOST:PORT,..."
-        ~doc:
-          "Shard tasks across remote workers: listen on each $(docv) endpoint \
-           and wait for a $(b,loopapalooza worker --connect) process to dial \
-           in before starting. Remote workers ride the same supervision \
-           (watchdog, backoff, circuit breaker) as local forked ones.")
-
-(* Listen on every configured endpoint and wait for the worker fleet to
-   dial in; returns the connected, hello-validated sockets. The listening
-   fds are closed as soon as their worker arrives — one worker per
-   endpoint. *)
-let connect_workers = function
-  | None -> []
-  | Some spec ->
-      let endpoints = Exec.Remote.parse_hostports spec in
-      if endpoints = [] then
-        raise (Invalid_argument "--workers: no endpoints in the list");
-      List.map
-        (fun (host, port) ->
-          let lfd = Exec.Remote.listen ~host ~port in
-          Printf.eprintf "waiting for worker on %s:%d\n%!" host
-            (Exec.Remote.bound_port lfd);
-          Fun.protect
-            ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-            (fun () -> Exec.Remote.accept_worker lfd))
-        endpoints
-
-let close_workers remotes =
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    remotes
 
 (* Enable recording iff any exporter was requested, and export on the way
    out even when the body fails — the trace of a failed pipeline is exactly
@@ -304,11 +263,6 @@ let loops_arg =
   Arg.(
     value & opt int 8
     & info [ "loops" ] ~docv:"N" ~doc:"Show the $(docv) costliest loops (0 = none).")
-
-(* Report rendering lives in Service.Render, shared with the daemon —
-   the byte-identity contract between `analyze` here and `client
-   analyze` against a daemon holds because both print that exact
-   string. *)
 
 let static_dep_arg =
   Arg.(
@@ -517,8 +471,7 @@ let calib_report_rows rows =
     rows
 
 let sweep_cmd =
-  let run target fuel jobs parallel_loops cache workers serve trace metrics prom
-      =
+  let run target fuel jobs parallel_loops cache serve trace metrics prom =
     handle_errors (fun () ->
         with_telemetry ~trace ~metrics ~prom (fun () ->
         with_serve serve (fun srv ->
@@ -557,38 +510,29 @@ let sweep_cmd =
                 Buffer.add_char b '\n';
                 let configs = Array.of_list Loopa.Config.figure_ladder in
                 let rows =
-                  if jobs <= 1 && workers = None then
+                  if jobs <= 1 then
                     Array.to_list
                       (Array.map
                          (fun cfg ->
-                           Service.Worker.sweep_row (Loopa.Driver.evaluate a cfg))
+                           Service.Render.sweep_row (Loopa.Driver.evaluate a cfg))
                          configs)
                   else begin
                     (* each rung is one pool task; the analysis rides into
-                       local workers through the fork image and into remote
-                       ones through the sweep-init frame — only the four
+                       the workers through the fork image — only the four
                        rendered cells come back over the wire *)
-                    let remotes = connect_workers workers in
-                    List.iter
-                      (fun fd ->
-                        Exec.Ipc.write fd
-                          (Service.Worker.sweep_init_json ~fuel
-                             ~configs:Loopa.Config.figure_ladder ~src:source))
-                      remotes;
                     let work payload =
                       let k = Option.value ~default:0 (Util.Json.to_int payload) in
                       Util.Json.List
                         (List.map
                            (fun s -> Util.Json.String s)
-                           (Service.Worker.sweep_row
+                           (Service.Render.sweep_row
                               (Loopa.Driver.evaluate a configs.(k))))
                     in
                     let outcomes, _stats =
-                      Exec.Pool.run ~jobs ~remotes ~work
+                      Exec.Pool.run ~jobs ~work
                         (Array.init (Array.length configs) (fun i ->
                              Util.Json.Int i))
                     in
-                    close_workers remotes;
                     Array.to_list
                       (Array.mapi
                          (fun i outcome ->
@@ -667,8 +611,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
     Term.(
       const run $ target_arg $ fuel_arg $ jobs_arg $ parallel_loops_arg
-      $ cache_arg $ workers_arg $ serve_arg $ trace_arg $ metrics_arg
-      $ prom_arg)
+      $ cache_arg $ serve_arg $ trace_arg $ metrics_arg $ prom_arg)
 
 (* ---- parrun ---- *)
 
@@ -950,10 +893,6 @@ let parse_inject spec =
       in
       (name, fault, clock)
 
-(* Shared with the daemon via Service.Render, like the analyze report. *)
-let print_campaign_summary (s : Campaign.Runner.summary) =
-  print_string (Service.Render.campaign_summary s)
-
 let campaign_cmd =
   let targets_arg =
     Arg.(
@@ -1038,7 +977,7 @@ let campaign_cmd =
              $(i,target).speedscope.json flamegraph files in $(docv).")
   in
   let run targets all json checkpoint resume retries fuel wall watchdog injects
-      repro_dir profile_dir jobs cache workers serve trace metrics prom =
+      repro_dir profile_dir jobs cache serve trace metrics prom =
     handle_errors (fun () ->
         if (not all) && targets = [] then
           raise (Invalid_argument "campaign needs TARGETS or --all");
@@ -1108,10 +1047,8 @@ let campaign_cmd =
                       if srv <> None then publish_beat hb)
             in
             let jobs = resolve_jobs jobs in
-            let remotes = connect_workers workers in
             let executor =
-              if remotes <> [] then Campaign.Runner.Forked (max 1 jobs)
-              else if jobs > 1 then Campaign.Runner.Forked jobs
+              if jobs > 1 then Campaign.Runner.Forked jobs
               else Campaign.Runner.Serial
             in
             (* fault injection and per-task profiling must not consume or
@@ -1145,13 +1082,12 @@ let campaign_cmd =
             let summary =
               Campaign.Runner.run ~budgets ?checkpoint ~resume ~faults_of
                 ?repro_dir ?prof_dir:profile_dir ~log ?heartbeat ~executor
-                ?cache_find ?cache_store ~remotes named
+                ?cache_find ?cache_store named
             in
-            close_workers remotes;
             if json then
               print_endline
                 (Util.Json.to_string (Campaign.Runner.summary_to_json summary))
-            else print_campaign_summary summary)))
+            else print_string (Service.Render.campaign_summary summary))))
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1161,28 +1097,10 @@ let campaign_cmd =
     Term.(
       const run $ targets_arg $ all_arg $ json_arg $ checkpoint_arg $ resume_arg
       $ retries_arg $ fuel_arg $ wall_arg $ watchdog_arg $ inject_arg
-      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ workers_arg
-      $ serve_arg $ trace_arg $ metrics_arg $ prom_arg)
+      $ repro_dir_arg $ profile_dir_arg $ jobs_arg $ cache_arg $ serve_arg
+      $ trace_arg $ metrics_arg $ prom_arg)
 
 (* ---- chaos ---- *)
-
-(* Checkpoint lines with the nondeterministic fields (wall-clock durations,
-   telemetry snapshots) stripped, for byte comparison across same-seed
-   runs. Non-object or unparseable lines pass through untouched so a codec
-   regression shows up as a diff instead of being normalized away. *)
-let normalized_checkpoint path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun line ->
-         match Util.Json.of_string line with
-         | Ok (Util.Json.Obj fields) ->
-             Util.Json.to_string
-               (Util.Json.Obj
-                  (List.filter
-                     (fun (k, _) -> k <> "wall_s" && k <> "telemetry")
-                     fields))
-         | _ -> line)
 
 (* The self-checking soak harness behind `loopapalooza chaos`: two
    campaigns under the same seeded fault schedule, then a chaos-free
@@ -1307,7 +1225,14 @@ let chaos_cmd =
                 (Campaign.Runner.status_to_string r.Campaign.Runner.status))
           s1.Campaign.Runner.results;
         (* 3. same seed, same bytes (modulo wall-clock/telemetry fields) *)
-        let n1 = normalized_checkpoint base and n2 = normalized_checkpoint second in
+        let normalized path =
+          match Campaign.Runner.normalized_checkpoint path with
+          | Ok lines -> lines
+          | Error m ->
+              fail "%s: %s" path m;
+              []
+        in
+        let n1 = normalized base and n2 = normalized second in
         if n1 <> n2 then begin
           fail "same-seed runs diverged: %d vs %d normalized checkpoint lines"
             (List.length n1) (List.length n2);
@@ -1752,209 +1677,6 @@ let perfdiff_cmd =
       const run $ snapshots_arg $ history_arg $ tolerance_arg $ all_arg
       $ json_arg)
 
-(* ---- analysis as a service: serve / client / worker ---- *)
-
-let socket_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path of the analysis daemon.")
-
-let serve_cmd =
-  let cache_max_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-max-bytes" ] ~docv:"N"
-          ~doc:
-            "Size cap for the result cache; least-recently-used entries are \
-             evicted past it (default 256 MiB).")
-  in
-  let metrics_port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve Prometheus text at http://127.0.0.1:$(docv)/metrics and a \
-             JSON snapshot at /status, republished after every request. Port \
-             0 picks a free port (printed to stderr).")
-  in
-  let run socket cache cache_max metrics_port =
-    handle_errors (fun () ->
-        Service.Daemon.serve ~socket ?cache_dir:cache
-          ?cache_max_bytes:cache_max ?metrics_port ())
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the persistent analysis daemon: accept analyze/campaign \
-          requests over a Unix-domain socket, cache-first, until SIGTERM \
-          (which drains the in-flight request and flushes the cache index).")
-    Term.(const run $ socket_arg $ cache_arg $ cache_max_arg $ metrics_port_arg)
-
-let client_cmd =
-  let progress_to_stderr frame =
-    match Option.bind (Util.Json.member "line" frame) Util.Json.to_str with
-    | Some line -> prerr_endline line
-    | None -> ()
-  in
-  let frame_str key frame =
-    Option.value ~default:""
-      (Option.bind (Util.Json.member key frame) Util.Json.to_str)
-  in
-  let fail (msg, code) =
-    Printf.eprintf "error: %s\n" msg;
-    code
-  in
-  let ping_cmd =
-    let run socket =
-      handle_errors_int (fun () ->
-          match Service.Client.submit ~socket Service.Client.ping_request with
-          | Ok _ ->
-              print_endline "pong";
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "ping" ~doc:"Check that the daemon is alive.")
-      Term.(const run $ socket_arg)
-  in
-  let analyze_cmd =
-    let run socket target config fuel loops optimize =
-      handle_errors_int (fun () ->
-          let req =
-            Service.Client.analyze_request ~source:(read_program target)
-              ~config ~fuel ~loops ~optimize
-          in
-          match
-            Service.Client.submit ~socket ~on_frame:progress_to_stderr req
-          with
-          | Ok frame ->
-              (* the daemon rendered with Service.Render; printing the bytes
-                 verbatim is what keeps this byte-identical to `analyze` *)
-              print_string (frame_str "text" frame);
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "analyze"
-         ~doc:
-           "Submit one analyze request to the daemon; output is \
-            byte-identical to the local $(b,analyze) command.")
-      Term.(
-        const run $ socket_arg $ target_arg $ config_arg $ fuel_arg $ loops_arg
-        $ optimize_arg)
-  in
-  let campaign_cmd =
-    let targets_arg =
-      Arg.(
-        value & pos_all string []
-        & info [] ~docv:"TARGETS"
-            ~doc:"Registered benchmark names or Looplang source files.")
-    in
-    let all_arg =
-      Arg.(
-        value & flag
-        & info [ "all" ] ~doc:"Run over the whole benchmark registry.")
-    in
-    let retries_arg =
-      Arg.(
-        value & opt int 1
-        & info [ "retries" ] ~docv:"N"
-            ~doc:"Retries at reduced fuel for budget-exhausted tasks.")
-    in
-    let wall_arg =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "wall" ] ~docv:"SECONDS" ~doc:"Per-attempt wall-clock budget.")
-    in
-    let watchdog_arg =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "watchdog" ] ~docv:"SECONDS"
-            ~doc:"Per-task wall deadline enforced daemon-side under --jobs.")
-    in
-    let checkpoint_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "checkpoint" ] ~docv:"FILE"
-            ~doc:
-              "Write the campaign's JSONL checkpoint (shipped back by the \
-               daemon) to $(docv).")
-    in
-    let run socket targets all jobs fuel retries wall watchdog checkpoint =
-      handle_errors_int (fun () ->
-          if (not all) && targets = [] then
-            raise (Invalid_argument "client campaign needs TARGETS or --all");
-          let named =
-            if all then
-              List.map
-                (fun (b : Suites.Suite.benchmark) ->
-                  (b.Suites.Suite.name, b.Suites.Suite.source))
-                (Suites.Suite.all ())
-            else List.map (fun t -> (t, read_program t)) targets
-          in
-          let req =
-            Service.Client.campaign_request ~targets:named
-              ~jobs:(resolve_jobs jobs) ~fuel ~retries ?wall ?watchdog ()
-          in
-          match
-            Service.Client.submit ~socket ~on_frame:progress_to_stderr req
-          with
-          | Ok frame ->
-              Option.iter
-                (fun path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc (frame_str "checkpoint" frame)))
-                checkpoint;
-              print_string (frame_str "summary" frame);
-              0
-          | Error e -> fail e)
-    in
-    Cmd.v
-      (Cmd.info "campaign"
-         ~doc:
-           "Submit a campaign to the daemon: progress streams to stderr, the \
-            summary (byte-identical to local $(b,campaign)) to stdout, and \
-            the checkpoint JSONL to $(b,--checkpoint).")
-      Term.(
-        const run $ socket_arg $ targets_arg $ all_arg $ jobs_arg $ fuel_arg
-        $ retries_arg $ wall_arg $ watchdog_arg $ checkpoint_arg)
-  in
-  Cmd.group
-    (Cmd.info "client"
-       ~doc:
-         "Talk to a running analysis daemon ($(b,serve)); results render \
-          byte-identically to the local commands.")
-    [ ping_cmd; analyze_cmd; campaign_cmd ]
-
-let worker_cmd =
-  let connect_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Dial a coordinator that is waiting on this endpoint \
-             ($(b,--workers)) and serve its tasks until told to quit.")
-  in
-  let run connect =
-    handle_errors (fun () ->
-        let host, port = Exec.Remote.parse_hostport connect in
-        Service.Worker.run ~host ~port)
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Remote pool worker for multi-host sharding: connect to a campaign \
-          or sweep coordinator over TCP and execute its tasks.")
-    Term.(const run $ connect_arg)
-
 let () =
   let doc = "Loopapalooza: a compiler-driven limit study of loop-level parallelism" in
   let info = Cmd.info "loopapalooza" ~version:"1.0.0" ~doc in
@@ -1974,7 +1696,4 @@ let () =
             dump_ir_cmd;
             lint_cmd;
             perfdiff_cmd;
-            serve_cmd;
-            client_cmd;
-            worker_cmd;
           ]))

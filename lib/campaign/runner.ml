@@ -483,17 +483,6 @@ let attempt ?hotspot ~budgets ~configs ~faults ~fuel src :
                         Some (Loopa.Driver.budget_failure kind) )
                     else (Truncated (kind, scores), clock, None))))
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-let sanitize_name name =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_') as c -> c | _ -> '_')
-    name
-
 (* The classified failure of the attempt whose status the task kept, paired
    with the fuel that attempt ran under — exactly what a repro bundle must
    record to replay deterministically. *)
@@ -510,10 +499,10 @@ let run_task ?prof_dir ~budgets ~configs ~faults target src :
   (match (prof_dir, hotspot) with
   | Some dir, Some h -> (
       try
-        mkdir_p dir;
+        Util.Fs.mkdir_p dir;
         ignore
           (Prof.Hotspot.write_files h
-             ~base:(Filename.concat dir (sanitize_name target))
+             ~base:(Filename.concat dir (Util.Fs.safe_name target))
              ~name:target)
       with Sys_error _ | Unix.Unix_error _ -> ())
   | _ -> ());
@@ -574,24 +563,6 @@ let failure_breakdown results =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* ---- repro-bundle emission ---- *)
-
-(* Drop a self-contained bundle for an errored task: the source, the
-   budgets and fault plan of the exact attempt that failed, and its
-   fingerprint. [repro replay] on the file re-runs this deterministically. *)
-let emit_bundle ~dir ~budgets ~configs ~faults target src
-    ((f : Loopa.Driver.failure), fuel) : string =
-  mkdir_p dir;
-  let b =
-    Repro.Bundle.make ~target ~source:src ~stage:f.Loopa.Driver.stage
-      ~fingerprint:f.Loopa.Driver.fingerprint ~message:f.Loopa.Driver.message
-      ~configs ~fuel ~mem_limit:budgets.mem_limit ~max_depth:budgets.max_depth
-      ~faults ()
-  in
-  let path = Filename.concat dir (sanitize_name target ^ ".repro.json") in
-  Repro.Bundle.save path b;
-  path
-
 (* ---- worker wire codec (Forked executor) ----
 
    A worker ships back its full task outcome in one frame: the checkpoint
@@ -624,660 +595,526 @@ let failure_of_wire j : (Loopa.Driver.failure * int) option =
             (Option.bind (Json.member "fuel" j) Json.to_int) )
   | _ -> None
 
+(* ---- campaign context ---- *)
+
+(* What every stage of one campaign run shares: the task parameters, the
+   checkpoint stream with its write-attempt counter, the interrupt flag
+   and the progress beat. *)
+type ctx = {
+  budgets : budgets;
+  configs : Loopa.Config.t list;
+  faults_of : string -> Interp.Machine.fault_plan;
+  prof_dir : string option;
+  repro_dir : string option;
+  log : string -> unit;
+  on_task_start : string -> unit;
+  chaos : Exec.Chaos.plan option;
+  watchdog_s : float option;
+  cache_store : (string -> result -> unit) option;
+  oc : out_channel option;
+  interrupted : bool ref;
+  mutable writes : int; (* checkpoint write attempts: the ckpt-fault index *)
+  beat : unit -> unit;
+}
+
 (* One checkpoint line, built whole and written with a single buffered
    [output_string] + flush: a crash or interrupt between fragments can
-   never leave an unparseable JSONL tail for --resume to trip on. *)
-let write_line oc j =
-  output_string oc (Json.to_string j ^ "\n");
-  flush oc
+   never leave an unparseable JSONL tail for --resume to trip on.
+   Chaos injection point: the k-th write attempt may fail with a
+   simulated EIO/ENOSPC. The response is supervision, not death: drop
+   the line, log it, count it — the task's result stays in the summary
+   and --resume re-runs it. *)
+let write_line ctx j =
+  match ctx.oc with
+  | None -> ()
+  | Some oc -> (
+      let k = ctx.writes in
+      ctx.writes <- k + 1;
+      match Option.bind ctx.chaos (fun p -> Exec.Chaos.ckpt_fault p k) with
+      | Some f ->
+          Obs.Telemetry.incr c_ckpt_drops;
+          ctx.log
+            (Printf.sprintf
+               "checkpoint write #%d failed (injected %s): line dropped, \
+                resume will re-run its task"
+               k (Exec.Chaos.ckpt_fault_name f))
+      | None ->
+          output_string oc (Json.to_string j ^ "\n");
+          flush oc)
 
-(* What the parent remembers about a finished parallel task until its turn
-   in the re-sequenced checkpoint comes up. *)
+(* The progress beat: called once per finished, resumed or cached task. *)
+let make_beat ~heartbeat ~total =
+  match heartbeat with
+  | None -> fun () -> ()
+  | Some emit ->
+      let t0 = Unix.gettimeofday () in
+      let n_done = ref 0 in
+      let beat_mark = ref (Obs.Telemetry.mark ()) in
+      (* pool.* counters are process-cumulative; baseline them so the
+         heartbeat reports this campaign's supervision activity only *)
+      let since_start c =
+        let base = Obs.Telemetry.value c in
+        fun () -> Obs.Telemetry.value c - base
+      in
+      let timeouts = since_start c_pool_timeouts in
+      let backoff_waits = since_start c_pool_backoff_waits in
+      let breaker_trips = since_start c_pool_breaker_trips in
+      fun () ->
+        incr n_done;
+        let elapsed = Unix.gettimeofday () -. t0 in
+        let rate = if elapsed > 0.0 then float_of_int !n_done /. elapsed else 0.0 in
+        let _, deltas = Obs.Telemetry.since !beat_mark in
+        beat_mark := Obs.Telemetry.mark ();
+        emit
+          {
+            hb_done = !n_done;
+            hb_total = total;
+            hb_elapsed_s = elapsed;
+            hb_tasks_per_s = rate;
+            hb_eta_s =
+              (if rate > 0.0 then float_of_int (total - !n_done) /. rate else 0.0);
+            hb_counters = deltas;
+            hb_timeouts = timeouts ();
+            hb_backoff_waits = backoff_waits ();
+            hb_breaker_trips = breaker_trips ();
+          }
+
+(* ---- deciding and recording one fresh task ---- *)
+
+(* A decided fresh task: its result, the full checkpoint line (telemetry
+   included) and, for an errored task, the classified failure a repro
+   bundle records. *)
 type entry = {
   er : result;
-  eline : Json.t; (* the full checkpoint line, telemetry included *)
+  eline : Json.t;
   efail : (Loopa.Driver.failure * int) option;
 }
 
-(* The whole isolated task as a wire frame — the worker body shared by
-   local forked workers and remote TCP workers: run it, then ship the
-   result (plus the failure detail and a telemetry snapshot when
-   enabled) back as one JSON object. *)
-let task_to_wire ?prof_dir ?(faults = []) ?(on_task_start = fun _ -> ())
-    ~budgets ~configs target src =
-  on_task_start target;
+let errored_result target error =
+  { target; status = Errored error; attempts = 1; clock = 0; wall_s = 0.0 }
+
+let errored_entry target error =
+  let r = errored_result target error in
+  { er = r; eline = result_to_json r; efail = None }
+
+(* A scheduled lethal chaos fault, realized without forking: when a task
+   with a planned kill/stall/torn/corrupt runs outside the pool (Serial
+   executor, or the degraded tail after the pool gave up), record the
+   outcome the pool would have delivered — same class, byte-identical
+   cause — so checkpoints are deterministic across the Forked/Serial
+   boundary. [k] is the task's index in the fresh task order. *)
+let simulated_entry ctx target k =
+  match Option.bind ctx.chaos (fun p -> Exec.Chaos.task_fault p k) with
+  | None -> None
+  | Some Exec.Chaos.Stall_self ->
+      let d = Option.value ~default:chaos_default_watchdog_s ctx.watchdog_s in
+      Some (errored_entry target (Task_timeout (timeout_cause d)))
+  | Some fault ->
+      Option.map
+        (fun cause -> errored_entry target (Worker_lost cause))
+        (Exec.Chaos.simulated_lost_cause fault)
+
+(* The in-process task body, the one place a task runs — serially, in
+   the degraded tail, or inside a pool worker: the isolated task under a
+   "campaign.task" span, plus (telemetry on) the spans and counter
+   deltas it produced. *)
+let run_in_process ctx target src =
+  ctx.on_task_start target;
   let tmark = Obs.Telemetry.mark () in
   let r, failure =
     Obs.Telemetry.with_span "campaign.task"
       ~attrs:[ ("target", target) ]
-      (fun () -> run_task ?prof_dir ~budgets ~configs ~faults target src)
+      (fun () ->
+        run_task ?prof_dir:ctx.prof_dir ~budgets:ctx.budgets
+          ~configs:ctx.configs ~faults:(ctx.faults_of target) target src)
   in
-  let tele =
-    if Obs.Telemetry.enabled () then
-      let spans, ctrs = Obs.Telemetry.since tmark in
-      [
-        ("spans", Json.List (List.map Obs.Export.span_to_json spans));
-        ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
-      ]
-    else []
+  let telemetry =
+    if Obs.Telemetry.enabled () then Some (Obs.Telemetry.since tmark) else None
   in
+  (r, failure, telemetry)
+
+(* A task decided in this process: simulated when chaos scheduled a loss
+   for it, run for real otherwise. *)
+let execute_in_parent ctx k (target, src) =
+  match simulated_entry ctx target k with
+  | Some e -> e
+  | None ->
+      let r, efail, telemetry = run_in_process ctx target src in
+      let telemetry =
+        Option.map
+          (fun (spans, counters) -> Obs.Export.snapshot_json ~spans ~counters)
+          telemetry
+      in
+      { er = r; eline = result_to_json ?telemetry r; efail }
+
+let to_wire (r, failure, telemetry) =
   Json.Obj
     ([ ("r", result_to_json r) ]
-    @ (match failure with
-      | Some fw -> [ ("f", failure_to_wire fw) ]
-      | None -> [])
-    @ tele)
+    @ (match failure with Some fw -> [ ("f", failure_to_wire fw) ] | None -> [])
+    @
+    match telemetry with
+    | Some (spans, ctrs) ->
+        [
+          ("spans", Json.List (List.map Obs.Export.span_to_json spans));
+          ("ctr", Json.Obj (List.map (fun (c, v) -> (c, Json.Int v)) ctrs));
+        ]
+    | None -> [])
 
-(* ---- remote workers ----
-
-   A remote worker knows nothing when it dials in; the coordinator sends
-   one campaign-init frame carrying the budgets and the config ladder,
-   and from then on the pool's task payloads are self-contained
-   {k; target; src} objects, so the worker needs no shared memory with
-   the coordinator (the fork pool's trick of capturing sources in the
-   work closure does not survive a machine boundary). *)
-
-let remote_init_json ~(budgets : budgets) ~configs =
-  Json.Obj
-    ([
-       ("op", Json.String "campaign-init");
-       ("fuel", Json.Int budgets.fuel);
-       ("mem_limit", Json.Int budgets.mem_limit);
-       ("max_depth", Json.Int budgets.max_depth);
-       ("retries", Json.Int budgets.retries);
-       ("telemetry", Json.Bool (Obs.Telemetry.enabled ()));
-       ( "configs",
-         Json.List
-           (List.map (fun c -> Json.String (Loopa.Config.name c)) configs) );
-     ]
-    @ match budgets.wall_s with
-      | Some w -> [ ("wall_s", Json.Float w) ]
-      | None -> [])
-
-let remote_work_of_init j : (Json.t -> Json.t, string) Stdlib.result =
-  match Json.member "op" j with
-  | Some (Json.String "campaign-init") -> (
-      let geti k d =
-        Option.value ~default:d (Option.bind (Json.member k j) Json.to_int)
-      in
-      let budgets =
-        {
-          fuel = geti "fuel" default_budgets.fuel;
-          mem_limit = geti "mem_limit" default_budgets.mem_limit;
-          max_depth = geti "max_depth" default_budgets.max_depth;
-          wall_s = Option.bind (Json.member "wall_s" j) Json.to_float;
-          retries = geti "retries" default_budgets.retries;
-          watchdog_s = None (* enforced coordinator-side by the pool *);
-        }
-      in
-      let config_names =
-        match Json.member "configs" j with
-        | Some (Json.List l) -> List.filter_map Json.to_str l
+(* A pool outcome as an entry; worker telemetry is absorbed into the
+   parent registry on the way. *)
+let entry_of_outcome target = function
+  | Exec.Pool.Lost cause -> errored_entry target (Worker_lost cause)
+  | Exec.Pool.Timed_out d -> errored_entry target (Task_timeout (timeout_cause d))
+  | Exec.Pool.Done wire ->
+      let r_json = Option.value ~default:Json.Null (Json.member "r" wire) in
+      let spans =
+        match Json.member "spans" wire with
+        | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
         | _ -> []
       in
-      match
-        List.map Loopa.Config.of_string config_names
-      with
-      | configs ->
-          if Json.member "telemetry" j = Some (Json.Bool true) then
-            Obs.Telemetry.enable ();
-          Ok
-            (fun payload ->
-              match
-                ( Option.bind (Json.member "target" payload) Json.to_str,
-                  Option.bind (Json.member "src" payload) Json.to_str )
-              with
-              | Some target, Some src ->
-                  task_to_wire ~budgets ~configs target src
-              | _ ->
-                  failwith "remote task payload missing target/src")
-      | exception Loopa.Config.Bad_config m ->
-          Error ("campaign-init carries a bad config: " ^ m))
-  | _ -> Error "expected a campaign-init frame"
+      let counters =
+        match Json.member "ctr" wire with
+        | Some (Json.Obj kvs) ->
+            List.filter_map
+              (fun (c, v) -> Option.map (fun i -> (c, i)) (Json.to_int v))
+              kvs
+        | _ -> []
+      in
+      Obs.Telemetry.absorb ~spans ~counters;
+      let eline =
+        match r_json with
+        | Json.Obj fields when Obs.Telemetry.enabled () ->
+            Json.Obj
+              (fields @ [ ("telemetry", Obs.Export.snapshot_json ~spans ~counters) ])
+        | j -> j
+      in
+      let er =
+        match result_of_json r_json with
+        | Ok r -> r
+        | Error m ->
+            errored_result target (Worker_lost ("undecodable worker result: " ^ m))
+      in
+      { er; eline; efail = Option.bind (Json.member "f" wire) failure_of_wire }
 
-let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
-    ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
-    ?prof_dir ?(log = fun _ -> ()) ?heartbeat ?(executor = Serial)
-    ?(on_task_start = fun (_ : string) -> ()) ?chaos ?(breaker_threshold = 5)
-    ?cache_find ?cache_store ?(remotes = [])
-    (targets : (string * string) list) : summary =
-  let done_before =
-    match checkpoint with
-    | Some path when resume -> load_checkpoint ~log path
-    | Some _ | None -> Hashtbl.create 1
-  in
-  let oc =
-    Option.map
-      (fun path ->
-        (* append under --resume so completed work is never discarded;
-           otherwise start the checkpoint over *)
-        if resume then begin
-          (* a hard kill mid-write can leave a torn final fragment with no
-             newline; cut it back to the last whole line, or the first
-             appended line would concatenate onto the fragment and be
-             unreadable on the next resume *)
-          (if Sys.file_exists path then
-             let raw = In_channel.with_open_bin path In_channel.input_all in
-             let len = String.length raw in
-             if len > 0 && raw.[len - 1] <> '\n' then
-               let keep =
-                 match String.rindex_opt raw '\n' with
-                 | Some i -> i + 1
-                 | None -> 0
-               in
-               try Unix.truncate path keep with Unix.Unix_error _ -> ());
-          open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 path
-        end
-        else open_out path)
-      checkpoint
-  in
-  (* A SIGINT/SIGTERM only raises a flag; both executors poll it at task
-     granularity, flush what is already decided, and raise {!Interrupted}
-     — the checkpoint is always left whole-line-parseable. *)
-  let interrupted = ref false in
+(* Drop a self-contained bundle for an errored task: the source, the
+   budgets and fault plan of the exact attempt that failed, and its
+   fingerprint. [repro replay] on the file re-runs this deterministically. *)
+let emit_repro ctx target src failure =
+  match (ctx.repro_dir, failure) with
+  | Some dir, Some ((f : Loopa.Driver.failure), fuel) -> (
+      let b =
+        Repro.Bundle.make ~target ~source:src ~stage:f.Loopa.Driver.stage
+          ~fingerprint:f.Loopa.Driver.fingerprint ~message:f.Loopa.Driver.message
+          ~configs:ctx.configs ~fuel ~mem_limit:ctx.budgets.mem_limit
+          ~max_depth:ctx.budgets.max_depth ~faults:(ctx.faults_of target) ()
+      in
+      match Repro.Bundle.save_in ~dir ~name:target b with
+      | path -> ctx.log (Printf.sprintf "%-24s repro bundle: %s" "" path)
+      | exception Sys_error m ->
+          ctx.log (Printf.sprintf "%-24s repro bundle failed: %s" "" m))
+  | _ -> ()
+
+(* Caching must never be able to fail a campaign: a throwing store is
+   logged and ignored. *)
+let store ctx r =
+  Option.iter
+    (fun store ->
+      try store r.target r
+      with _ -> ctx.log (Printf.sprintf "%-24s cache store failed" r.target))
+    ctx.cache_store
+
+(* The one record step for a decided fresh task, taken in task order by
+   every executor: checkpoint line, log line, a repro bundle (errored)
+   or a cache store (scored — a lost worker or timeout must never
+   poison the cache), then the progress beat. *)
+let record ctx ~suffix (target, src) e =
+  write_line ctx e.eline;
+  ctx.log (Printf.sprintf "%-24s %s%s" target (status_to_string e.er.status) suffix);
+  (match e.er.status with
+  | Errored _ -> emit_repro ctx target src e.efail
+  | Completed _ | Truncated _ -> store ctx e.er);
+  ctx.beat ()
+
+(* ---- stages of one campaign run ---- *)
+
+(* Open the checkpoint for writing: append under --resume so completed
+   work is never discarded, otherwise start it over. *)
+let open_checkpoint ~resume path =
+  if resume then begin
+    (* a hard kill mid-write can leave a torn final fragment with no
+       newline; cut it back to the last whole line, or the first
+       appended line would concatenate onto the fragment and be
+       unreadable on the next resume *)
+    (if Sys.file_exists path then
+       let raw = In_channel.with_open_bin path In_channel.input_all in
+       let len = String.length raw in
+       if len > 0 && raw.[len - 1] <> '\n' then
+         let keep =
+           match String.rindex_opt raw '\n' with Some i -> i + 1 | None -> 0
+         in
+         try Unix.truncate path keep with Unix.Unix_error _ -> ());
+    open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 path
+  end
+  else open_out path
+
+(* Crash-safe finalization: force the checkpoint to stable storage before
+   closing — campaign end, interrupt-flush and exception unwinds all
+   funnel through here. *)
+let close_checkpoint oc =
+  flush oc;
+  (try Unix.fsync (Unix.descr_of_out_channel oc)
+   with Unix.Unix_error _ | Sys_error _ -> ());
+  close_out oc
+
+(* A SIGINT/SIGTERM only raises a flag; every executor polls it at task
+   granularity, records what is already decided, and raises
+   {!Interrupted} — the checkpoint is always left whole-line-parseable. *)
+let with_interrupts interrupted f =
   let note _ = interrupted := true in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle note) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle note) in
   Fun.protect
     ~finally:(fun () ->
       ignore (Sys.signal Sys.sigint old_int);
-      ignore (Sys.signal Sys.sigterm old_term);
-      (* crash-safe finalization: force the checkpoint to stable storage
-         before closing — campaign end, interrupt-flush, and exception
-         unwinds all funnel through here *)
-      Option.iter
-        (fun oc ->
-          flush oc;
-          try Unix.fsync (Unix.descr_of_out_channel oc)
-          with Unix.Unix_error _ | Sys_error _ -> ())
-        oc;
-      Option.iter close_out oc)
-    (fun () ->
-      let n_resumed = ref 0 in
-      let n_degraded = ref 0 in
-      let t0 = Unix.gettimeofday () in
-      let total = List.length targets in
-      let n_done = ref 0 in
-      let beat_mark = ref (Obs.Telemetry.mark ()) in
-      (* pool.* counters are process-cumulative; baseline them so the
-         heartbeat reports this campaign's supervision activity only *)
-      let base_timeouts = Obs.Telemetry.value c_pool_timeouts in
-      let base_backoff = Obs.Telemetry.value c_pool_backoff_waits in
-      let base_breaker = Obs.Telemetry.value c_pool_breaker_trips in
-      let beat () =
-        incr n_done;
-        match heartbeat with
-        | None -> ()
-        | Some emit ->
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let rate = if elapsed > 0.0 then float_of_int !n_done /. elapsed else 0.0 in
-            let _, deltas = Obs.Telemetry.since !beat_mark in
-            beat_mark := Obs.Telemetry.mark ();
-            emit
-              {
-                hb_done = !n_done;
-                hb_total = total;
-                hb_elapsed_s = elapsed;
-                hb_tasks_per_s = rate;
-                hb_eta_s =
-                  (if rate > 0.0 then float_of_int (total - !n_done) /. rate
-                   else 0.0);
-                hb_counters = deltas;
-                hb_timeouts = Obs.Telemetry.value c_pool_timeouts - base_timeouts;
-                hb_backoff_waits =
-                  Obs.Telemetry.value c_pool_backoff_waits - base_backoff;
-                hb_breaker_trips =
-                  Obs.Telemetry.value c_pool_breaker_trips - base_breaker;
-              }
-      in
-      (* a chaos plan with Stall_self faults hangs a watchdog-less pool,
-         so chaos runs always get a deadline *)
-      let watchdog_s =
-        match budgets.watchdog_s with
-        | Some _ as w -> w
-        | None ->
-            if Option.is_some chaos then Some chaos_default_watchdog_s else None
-      in
-      (* Chaos injection point for the checkpoint stream: the k-th write
-         attempt may fail with a simulated EIO/ENOSPC. The response is
-         supervision, not death: drop the line, log it, count it — the
-         task's result stays in the summary and --resume re-runs it. *)
-      let write_attempt = ref 0 in
-      let write_line_checked oc j =
-        let k = !write_attempt in
-        incr write_attempt;
-        match Option.bind chaos (fun p -> Exec.Chaos.ckpt_fault p k) with
-        | Some f ->
-            Obs.Telemetry.incr c_ckpt_drops;
-            log
-              (Printf.sprintf
-                 "checkpoint write #%d failed (injected %s): line dropped, \
-                  resume will re-run its task"
-                 k
-                 (Exec.Chaos.ckpt_fault_name f))
-        | None -> write_line oc j
-      in
-      let lost_result target cause =
-        {
-          target;
-          status = Errored (Worker_lost cause);
-          attempts = 1;
-          clock = 0;
-          wall_s = 0.0;
-        }
-      in
-      (* A scheduled lethal chaos fault, realized without forking: when a
-         task with a planned kill/stall/torn/corrupt runs outside the
-         pool (Serial executor, or the degraded tail after the pool gave
-         up), record the outcome the pool would have delivered — same
-         class, byte-identical cause — so checkpoints are deterministic
-         across the Forked/Serial boundary. [k] is the task's index in
-         the fresh (non-resumed) task order, the pool's task array. *)
-      let simulated_result target k =
-        match Option.bind chaos (fun p -> Exec.Chaos.task_fault p k) with
-        | None -> None
-        | Some fault -> (
-            let status =
-              match fault with
-              | Exec.Chaos.Stall_self ->
-                  let d =
-                    Option.value ~default:chaos_default_watchdog_s watchdog_s
-                  in
-                  Some (Errored (Task_timeout (timeout_cause d)))
-              | _ ->
-                  Option.map
-                    (fun cause -> Errored (Worker_lost cause))
-                    (Exec.Chaos.simulated_lost_cause fault)
-            in
-            match status with
-            | None -> None
-            | Some status ->
-                Some { target; status; attempts = 1; clock = 0; wall_s = 0.0 })
-      in
-      let emit_repro target src faults failure =
-        match (repro_dir, failure) with
-        | Some dir, Some f -> (
-            match emit_bundle ~dir ~budgets ~configs ~faults target src f with
-            | path -> log (Printf.sprintf "%-24s repro bundle: %s" "" path)
-            | exception Sys_error m ->
-                log (Printf.sprintf "%-24s repro bundle failed: %s" "" m))
-        | _ -> ()
-      in
-      (* Cache prefetch: consult the content-addressed result cache for
-         every fresh (non-resumed) target — in target order, before any
-         execution — so hits land in the checkpoint exactly where a
-         fresh run would have written them. A hit behaves like a resumed
-         result from here on: both executors skip it, and it does not
-         consume an index in the fresh task order chaos plans key on.
-         Only the find is delegated; a throwing cache is treated as a
-         miss because caching must never be able to fail a campaign. *)
-      let cached_tbl : (string, result) Hashtbl.t = Hashtbl.create 8 in
-      let n_cached = ref 0 in
-      (match cache_find with
-      | None -> ()
-      | Some find ->
-          List.iter
-            (fun (target, _) ->
-              if not (Hashtbl.mem done_before target) then
-                match (try find target with _ -> None) with
-                | None -> ()
-                | Some (r : result) ->
-                    Hashtbl.replace cached_tbl target r;
-                    incr n_cached;
-                    Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json r))
-                      oc;
-                    log
-                      (Printf.sprintf "%-24s cached: %s" target
-                         (status_to_string r.status));
-                    beat ())
-            targets);
-      let maybe_store (r : result) =
-        match cache_store with
-        | None -> ()
-        | Some store -> (
-            match r.status with
-            | Completed _ | Truncated _ -> (
-                try store r.target r
-                with _ -> log (Printf.sprintf "%-24s cache store failed" r.target))
-            | Errored _ -> ())
-      in
-      let run_serial () =
-        let fresh_idx = ref 0 in
-        List.map
-          (fun (target, src) ->
-            match Hashtbl.find_opt done_before target with
-            | Some r ->
-                incr n_resumed;
-                log (Printf.sprintf "%-24s resumed: %s" target (status_to_string r.status));
-                beat ();
-                r
-            | None when Hashtbl.mem cached_tbl target ->
-                (* checkpointed, logged and beaten during the prefetch *)
-                Hashtbl.find cached_tbl target
-            | None -> (
-                if !interrupted then raise Interrupted;
-                let k = !fresh_idx in
-                incr fresh_idx;
-                match simulated_result target k with
-                | Some r ->
-                    Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json r))
-                      oc;
-                    log
-                      (Printf.sprintf "%-24s %s" target
-                         (status_to_string r.status));
-                    beat ();
-                    r
-                | None ->
-                    on_task_start target;
-                    let faults = faults_of target in
-                    let tmark = Obs.Telemetry.mark () in
-                    let r, failure =
-                      Obs.Telemetry.with_span "campaign.task"
-                        ~attrs:[ ("target", target) ]
-                        (fun () ->
-                          run_task ?prof_dir ~budgets ~configs ~faults target
-                            src)
-                    in
-                    let telemetry =
-                      if Obs.Telemetry.enabled () then
-                        let spans, counters = Obs.Telemetry.since tmark in
-                        Some (Obs.Export.snapshot_json ~spans ~counters)
-                      else None
-                    in
-                    Option.iter
-                      (fun oc -> write_line_checked oc (result_to_json ?telemetry r))
-                      oc;
-                    log (Printf.sprintf "%-24s %s" target (status_to_string r.status));
-                    (match r.status with
-                    | Errored _ -> emit_repro target src faults failure
-                    | Completed _ | Truncated _ -> ());
-                    maybe_store r;
-                    beat ();
-                    r))
-          targets
-      in
-      let run_forked jobs =
-        (* resumed results surface first (they cost nothing), then the
-           fresh targets fan out over the pool in target order *)
-        List.iter
-          (fun (target, _) ->
-            match Hashtbl.find_opt done_before target with
-            | Some r ->
-                incr n_resumed;
-                log
-                  (Printf.sprintf "%-24s resumed: %s" target
+      ignore (Sys.signal Sys.sigterm old_term))
+    f
+
+(* Cache prefetch: consult the content-addressed result cache for every
+   fresh (non-resumed) target — in target order, before any execution —
+   so hits land in the checkpoint exactly where a fresh run would have
+   written them. A hit behaves like a resumed result from here on: no
+   executor runs it, and it does not consume an index in the fresh task
+   order chaos plans key on. A throwing find is a miss. *)
+let prefetch ctx ~cache_find ~done_before targets =
+  let cached : (string, result) Hashtbl.t = Hashtbl.create 8 in
+  let n_cached = ref 0 in
+  Option.iter
+    (fun find ->
+      List.iter
+        (fun (target, _) ->
+          if not (Hashtbl.mem done_before target) then
+            match (try find target with _ -> None) with
+            | None -> ()
+            | Some (r : result) ->
+                Hashtbl.replace cached target r;
+                incr n_cached;
+                write_line ctx (result_to_json r);
+                ctx.log
+                  (Printf.sprintf "%-24s cached: %s" target
                      (status_to_string r.status));
-                beat ()
-            | None -> ())
-          targets;
-        let fresh_arr =
-          Array.of_list
-            (List.filter
-               (fun (t, _) ->
-                 not (Hashtbl.mem done_before t || Hashtbl.mem cached_tbl t))
-               targets)
-        in
-        let n = Array.length fresh_arr in
-        let entries : entry option array = Array.make n None in
-        let written = Array.make n false in
-        (* the worker body: the whole isolated task, exactly as serial.
-           Local forked workers inherit fresh_arr across the fork and
-           only need the index; remote payloads are self-contained
-           {k; target; src} objects, decoded by the remote's own work
-           function ({!remote_work_of_init}) — this one resolves through
-           fresh_arr either way. *)
-        let work payload =
-          let k =
-            match payload with
-            | Json.Int k -> k
-            | j ->
-                Option.value ~default:0
-                  (Option.bind (Json.member "k" j) Json.to_int)
-          in
-          let target, src = fresh_arr.(k) in
-          task_to_wire ?prof_dir ~faults:(faults_of target) ~on_task_start
-            ~budgets ~configs target src
-        in
-        let on_complete k outcome =
-          let target, _ = fresh_arr.(k) in
-          let entry =
-            match outcome with
-            | Exec.Pool.Lost cause ->
-                let r = lost_result target cause in
-                { er = r; eline = result_to_json r; efail = None }
-            | Exec.Pool.Timed_out d ->
-                let r =
-                  {
-                    target;
-                    status = Errored (Task_timeout (timeout_cause d));
-                    attempts = 1;
-                    clock = 0;
-                    wall_s = 0.0;
-                  }
-                in
-                { er = r; eline = result_to_json r; efail = None }
-            | Exec.Pool.Done wire ->
-                let r_json =
-                  Option.value ~default:Json.Null (Json.member "r" wire)
-                in
-                let spans =
-                  match Json.member "spans" wire with
-                  | Some (Json.List l) -> List.filter_map Obs.Export.span_of_json l
-                  | _ -> []
-                in
-                let counters =
-                  match Json.member "ctr" wire with
-                  | Some (Json.Obj kvs) ->
-                      List.filter_map
-                        (fun (c, v) -> Option.map (fun i -> (c, i)) (Json.to_int v))
-                        kvs
-                  | _ -> []
-                in
-                Obs.Telemetry.absorb ~spans ~counters;
-                let telemetry =
-                  if Obs.Telemetry.enabled () then
-                    Some (Obs.Export.snapshot_json ~spans ~counters)
-                  else None
-                in
-                let eline =
-                  match (r_json, telemetry) with
-                  | Json.Obj fields, Some t ->
-                      Json.Obj (fields @ [ ("telemetry", t) ])
-                  | j, _ -> j
-                in
-                let er =
-                  match result_of_json r_json with
-                  | Ok r -> r
-                  | Error m ->
-                      lost_result target ("undecodable worker result: " ^ m)
-                in
-                { er; eline; efail = Option.bind (Json.member "f" wire) failure_of_wire }
-          in
-          entries.(k) <- Some entry;
-          log (Printf.sprintf "%-24s %s" target (status_to_string entry.er.status));
-          maybe_store entry.er;
-          beat ()
-        in
-        let on_ordered k _ =
-          match entries.(k) with
-          | None -> ()
-          | Some e ->
-              Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-              written.(k) <- true;
-              let target, src = fresh_arr.(k) in
-              (match e.er.status with
-              | Errored _ -> emit_repro target src (faults_of target) e.efail
-              | Completed _ | Truncated _ -> ())
-        in
-        (* salvage every decided-but-unwritten result (ascending task
-           order): resume can then skip it even though the strict
-           checkpoint order was cut short *)
-        let flush_unwritten () =
-          Array.iteri
-            (fun k e ->
-              match e with
-              | Some e when not written.(k) ->
-                  Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-                  written.(k) <- true
-              | _ -> ())
-            entries
-        in
-        let breaker = Exec.Breaker.create ~threshold:breaker_threshold () in
-        let backoff =
-          (* seeded from the chaos plan when there is one so the whole
-             supervised schedule replays from the campaign's single seed *)
-          Exec.Backoff.create
-            ~seed:(Option.value ~default:0 (Option.bind chaos Exec.Chaos.seed))
-            ()
-        in
-        (* remote workers get the campaign parameters once, up front;
-           after the init frame the socket speaks plain pool frames *)
-        List.iter
-          (fun fd -> Exec.Ipc.write fd (remote_init_json ~budgets ~configs))
-          remotes;
-        let payloads =
-          if remotes = [] then Array.init n (fun i -> Json.Int i)
-          else
-            Array.init n (fun i ->
-                let target, src = fresh_arr.(i) in
-                Json.Obj
-                  [
-                    ("k", Json.Int i);
-                    ("target", Json.String target);
-                    ("src", Json.String src);
-                  ])
-        in
-        let _outcomes, stats =
-          Exec.Pool.run ~jobs
-            ~worker_init:(fun () -> Obs.Telemetry.reset ())
-            ~epilogue:(fun () ->
-              if Obs.Telemetry.enabled () then Obs.Telemetry.wire_histograms ()
-              else Json.Null)
-            ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete
-            ~on_ordered
-            ~should_stop:(fun () -> !interrupted)
-            ?task_deadline_s:watchdog_s ~backoff ~breaker ?chaos ~remotes ~work
-            payloads
-        in
-        if !interrupted then begin
-          flush_unwritten ();
-          raise Interrupted
-        end;
-        (* Degraded completion: the pool returned early (circuit breaker
-           open, or respawn capacity exhausted) with undecided tasks —
-           the old behavior was to drain them as Lost. Instead, flip
-           Forked -> Serial mid-run: finish every hole in the parent,
-           realizing scheduled chaos losses deterministically, then
-           extend the checkpoint in task order. *)
-        let holes =
-          Array.fold_left
-            (fun acc e -> if Option.is_none e then acc + 1 else acc)
-            0 entries
-        in
-        if holes > 0 then begin
-          (match stats.Exec.Pool.gave_up with
-          | Some cause ->
-              log
-                (Printf.sprintf
-                   "pool gave up (%s): degrading Forked -> Serial for %d \
-                    remaining task(s)"
-                   cause holes)
+                ctx.beat ())
+        targets)
+    cache_find;
+  (cached, !n_cached)
+
+(* Resumed results surface before any execution: they cost nothing and
+   are already in the checkpoint. Returns how many there were. *)
+let surface_resumed ctx ~done_before targets =
+  List.fold_left
+    (fun n (target, _) ->
+      match Hashtbl.find_opt done_before target with
+      | Some r ->
+          ctx.log
+            (Printf.sprintf "%-24s resumed: %s" target (status_to_string r.status));
+          ctx.beat ();
+          n + 1
+      | None -> n)
+    0 targets
+
+(* The fresh tasks — neither resumed nor cached — in target order, the
+   task order the pool and chaos plans key on. [entries] fills as tasks
+   are decided; [recorded] marks the ones already through {!record}. *)
+type book = {
+  fresh : (string * string) array;
+  entries : entry option array;
+  recorded : bool array;
+}
+
+let record_at ctx book ~suffix k e =
+  book.recorded.(k) <- true;
+  record ctx ~suffix book.fresh.(k) e
+
+(* Record every decided but unrecorded task (ascending task order) so
+   resume can skip it even though the strict checkpoint order was cut
+   short, then raise {!Interrupted}. *)
+let interrupt ctx book =
+  Array.iteri
+    (fun k e ->
+      match e with
+      | Some e when not book.recorded.(k) -> record_at ctx book ~suffix:"" k e
+      | _ -> ())
+    book.entries;
+  raise Interrupted
+
+let execute_serial ctx book =
+  Array.iteri
+    (fun k task ->
+      if !(ctx.interrupted) then interrupt ctx book;
+      let e = execute_in_parent ctx k task in
+      book.entries.(k) <- Some e;
+      record_at ctx book ~suffix:"" k e)
+    book.fresh
+
+(* Degraded completion: the pool returned early (circuit breaker open,
+   or respawn capacity exhausted) with undecided tasks. Flip Forked ->
+   Serial mid-run: walk the tasks in order, finish every hole in the
+   parent (realizing scheduled chaos losses deterministically), and
+   record each task the pool's in-order prefix had not reached. Returns
+   the number of tasks finished this way. *)
+let finish_degraded ctx book ~gave_up =
+  let holes =
+    Array.fold_left (fun n e -> if Option.is_none e then n + 1 else n) 0 book.entries
+  in
+  if holes > 0 then begin
+    ctx.log
+      (match gave_up with
+      | Some cause ->
+          Printf.sprintf
+            "pool gave up (%s): degrading Forked -> Serial for %d remaining \
+             task(s)"
+            cause holes
+      | None -> Printf.sprintf "pool left %d task(s) undecided: finishing serially" holes);
+    Array.iteri
+      (fun k e ->
+        if not book.recorded.(k) then
+          match e with
+          | Some e -> record_at ctx book ~suffix:"" k e
           | None ->
-              log
-                (Printf.sprintf
-                   "pool left %d task(s) undecided: finishing serially" holes));
-          Array.iteri
-            (fun k e ->
-              if Option.is_none e then begin
-                if !interrupted then begin
-                  flush_unwritten ();
-                  raise Interrupted
-                end;
-                let target, src = fresh_arr.(k) in
-                incr n_degraded;
-                Obs.Telemetry.incr c_degraded;
-                let entry =
-                  match simulated_result target k with
-                  | Some r -> { er = r; eline = result_to_json r; efail = None }
-                  | None ->
-                      on_task_start target;
-                      let faults = faults_of target in
-                      let tmark = Obs.Telemetry.mark () in
-                      let r, failure =
-                        Obs.Telemetry.with_span "campaign.task"
-                          ~attrs:[ ("target", target) ]
-                          (fun () ->
-                            run_task ~budgets ~configs ~faults target src)
-                      in
-                      let telemetry =
-                        if Obs.Telemetry.enabled () then
-                          let spans, counters = Obs.Telemetry.since tmark in
-                          Some (Obs.Export.snapshot_json ~spans ~counters)
-                        else None
-                      in
-                      { er = r; eline = result_to_json ?telemetry r; efail = failure }
-                in
-                entries.(k) <- Some entry;
-                log
-                  (Printf.sprintf "%-24s %s (degraded)" target
-                     (status_to_string entry.er.status));
-                maybe_store entry.er;
-                beat ()
-              end)
-            entries;
-          (* extend the checkpoint in task order past where on_ordered
-             stopped, with repro bundles for the errored stragglers *)
-          Array.iteri
-            (fun k e ->
-              match e with
-              | Some e when not written.(k) ->
-                  Option.iter (fun oc -> write_line_checked oc e.eline) oc;
-                  written.(k) <- true;
-                  let target, src = fresh_arr.(k) in
-                  (match e.er.status with
-                  | Errored _ -> emit_repro target src (faults_of target) e.efail
-                  | Completed _ | Truncated _ -> ())
-              | _ -> ())
-            entries
-        end;
-        let cursor = ref 0 in
-        List.map
-          (fun (target, _) ->
-            match Hashtbl.find_opt done_before target with
+              if !(ctx.interrupted) then interrupt ctx book;
+              Obs.Telemetry.incr c_degraded;
+              let e = execute_in_parent ctx k book.fresh.(k) in
+              book.entries.(k) <- Some e;
+              record_at ctx book ~suffix:" (degraded)" k e)
+      book.entries
+  end;
+  holes
+
+(* The fresh tasks across a forked pool. Workers run the same
+   in-process body and ship it back whole; the parent records outcomes
+   as the contiguous decided prefix grows, so the checkpoint stays in
+   task order whatever the scheduling. Returns the number of tasks the
+   degraded tail finished. *)
+let execute_forked ctx book ~jobs ~breaker_threshold =
+  let work payload =
+    let target, src = book.fresh.(Option.value ~default:0 (Json.to_int payload)) in
+    to_wire (run_in_process ctx target src)
+  in
+  let on_complete k outcome =
+    book.entries.(k) <- Some (entry_of_outcome (fst book.fresh.(k)) outcome)
+  in
+  let on_ordered k _ = Option.iter (record_at ctx book ~suffix:"" k) book.entries.(k) in
+  let breaker = Exec.Breaker.create ~threshold:breaker_threshold () in
+  (* seeded from the chaos plan when there is one so the whole supervised
+     schedule replays from the campaign's single seed *)
+  let backoff =
+    Exec.Backoff.create
+      ~seed:(Option.value ~default:0 (Option.bind ctx.chaos Exec.Chaos.seed))
+      ()
+  in
+  let _, stats =
+    Exec.Pool.run ~jobs
+      ~worker_init:(fun () -> Obs.Telemetry.reset ())
+      ~epilogue:(fun () ->
+        if Obs.Telemetry.enabled () then Obs.Telemetry.wire_histograms ()
+        else Json.Null)
+      ~on_epilogue:Obs.Telemetry.absorb_histograms ~on_complete ~on_ordered
+      ~should_stop:(fun () -> !(ctx.interrupted))
+      ?task_deadline_s:ctx.watchdog_s ~backoff ~breaker ?chaos:ctx.chaos ~work
+      (Array.mapi (fun i _ -> Json.Int i) book.fresh)
+  in
+  if !(ctx.interrupted) then interrupt ctx book;
+  finish_degraded ctx book ~gave_up:stats.Exec.Pool.gave_up
+
+let summarize ~configs ~done_before ~cached ~book ~n_resumed ~n_cached
+    ~n_degraded targets =
+  let cursor = ref 0 in
+  let results =
+    List.map
+      (fun (target, _) ->
+        match Hashtbl.find_opt done_before target with
+        | Some r -> r
+        | None -> (
+            match Hashtbl.find_opt cached target with
             | Some r -> r
-            | None when Hashtbl.mem cached_tbl target ->
-                Hashtbl.find cached_tbl target
             | None -> (
-                let e = entries.(!cursor) in
+                let e = book.entries.(!cursor) in
                 incr cursor;
                 match e with
                 | Some e -> e.er
-                | None -> lost_result target "task never ran"))
-          targets
-      in
-      let results =
-        match executor with
-        (* remote workers imply the pool: a remote-augmented campaign
-           runs forked even at --jobs 1 *)
-        | Forked jobs when (jobs > 1 || remotes <> []) && targets <> [] ->
-            run_forked jobs
-        | Serial | Forked _ -> run_serial ()
-      in
-      if !interrupted then raise Interrupted;
-      let count p = List.length (List.filter p results) in
-      {
-        results;
-        n_completed = count (fun r -> match r.status with Completed _ -> true | _ -> false);
-        n_truncated = count (fun r -> match r.status with Truncated _ -> true | _ -> false);
-        n_errored = count (fun r -> match r.status with Errored _ -> true | _ -> false);
-        n_resumed = !n_resumed;
-        n_cached = !n_cached;
-        n_degraded = !n_degraded;
-        geomeans = geomeans_of configs results;
-        failures = failure_breakdown results;
-      })
+                | None -> errored_result target (Worker_lost "task never ran"))))
+      targets
+  in
+  let count p = List.length (List.filter (fun r -> p r.status) results) in
+  {
+    results;
+    n_completed = count (function Completed _ -> true | _ -> false);
+    n_truncated = count (function Truncated _ -> true | _ -> false);
+    n_errored = count (function Errored _ -> true | _ -> false);
+    n_resumed;
+    n_cached;
+    n_degraded;
+    geomeans = geomeans_of configs results;
+    failures = failure_breakdown results;
+  }
+
+let run ?(budgets = default_budgets) ?(configs = Loopa.Config.figure_ladder)
+    ?checkpoint ?(resume = false) ?(faults_of = fun _ -> []) ?repro_dir
+    ?prof_dir ?(log = fun _ -> ()) ?heartbeat ?(executor = Serial)
+    ?(on_task_start = fun (_ : string) -> ()) ?chaos ?(breaker_threshold = 5)
+    ?cache_find ?cache_store (targets : (string * string) list) : summary =
+  let done_before =
+    match checkpoint with
+    | Some path when resume -> load_checkpoint ~log path
+    | Some _ | None -> Hashtbl.create 1
+  in
+  let oc = Option.map (open_checkpoint ~resume) checkpoint in
+  let interrupted = ref false in
+  Fun.protect ~finally:(fun () -> Option.iter close_checkpoint oc) @@ fun () ->
+  with_interrupts interrupted @@ fun () ->
+  let ctx =
+    {
+      budgets;
+      configs;
+      faults_of;
+      prof_dir;
+      repro_dir;
+      log;
+      on_task_start;
+      chaos;
+      (* a chaos plan with Stall_self faults hangs a watchdog-less pool,
+         so chaos runs always get a deadline *)
+      watchdog_s =
+        (match budgets.watchdog_s with
+        | Some _ as w -> w
+        | None -> Option.map (fun _ -> chaos_default_watchdog_s) chaos);
+      cache_store;
+      oc;
+      interrupted;
+      writes = 0;
+      beat = make_beat ~heartbeat ~total:(List.length targets);
+    }
+  in
+  let cached, n_cached = prefetch ctx ~cache_find ~done_before targets in
+  let n_resumed = surface_resumed ctx ~done_before targets in
+  let fresh =
+    Array.of_list
+      (List.filter
+         (fun (t, _) -> not (Hashtbl.mem done_before t || Hashtbl.mem cached t))
+         targets)
+  in
+  let n = Array.length fresh in
+  let book = { fresh; entries = Array.make n None; recorded = Array.make n false } in
+  let n_degraded =
+    match executor with
+    | Forked jobs when jobs > 1 && targets <> [] ->
+        execute_forked ctx book ~jobs ~breaker_threshold
+    | Serial | Forked _ ->
+        execute_serial ctx book;
+        0
+  in
+  if !interrupted then raise Interrupted;
+  summarize ~configs ~done_before ~cached ~book ~n_resumed ~n_cached ~n_degraded
+    targets
 
 let summary_to_json (s : summary) =
   Json.Obj
@@ -1302,3 +1139,28 @@ let summary_to_json (s : summary) =
         Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.failures) );
       ("results", Json.List (List.map result_to_json s.results));
     ]
+
+(* ---- checkpoint comparison ---- *)
+
+let normalize_line line =
+  match Json.of_string line with
+  | Ok (Json.Obj fields) ->
+      Ok
+        (Json.to_string
+           (Json.Obj
+              (List.filter (fun (k, _) -> k <> "wall_s" && k <> "telemetry") fields)))
+  | Ok j -> Ok (Json.to_string j)
+  | Error e -> Error (Printf.sprintf "unparseable checkpoint line %S: %s" line e)
+
+let normalized_checkpoint path =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+        match normalize_line line with
+        | Ok l -> go (l :: acc) rest
+        | Error m -> Error m)
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+  |> go []

@@ -150,10 +150,13 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     already recorded. [faults_of] supplies a test-only injection plan per
     target ({!Interp.Machine.fault_plan}). [repro_dir] makes every errored
     task drop a self-contained {!Repro.Bundle} (named
-    [<target>.repro.json]) there, replayable and shrinkable offline with
+    [<target>.repro.json], the name made file-safe by
+    {!Util.Fs.safe_name}) there, replayable and shrinkable offline with
     the [repro] CLI subcommands. [log] receives one progress line per
-    task. [prof_dir] attaches a {!Prof.Hotspot} profiler to every task's
-    full-fuel attempt and drops [<target>.folded],
+    task — cached and resumed results first, then fresh tasks in task
+    order under every executor. [prof_dir] attaches a {!Prof.Hotspot} profiler to every task's
+    full-fuel attempt (in whichever process runs it) and drops
+    [<target>.folded],
     [<target>.samples.folded] and [<target>.speedscope.json] there (the
     reduced-fuel retry is not profiled). [heartbeat] receives one
     {!heartbeat} beat per finished task;
@@ -214,18 +217,6 @@ val result_of_json : Util.Json.t -> (result, string) Stdlib.result
     the cache). Both hooks are failure-isolated: a throwing find is a
     miss, a throwing store is logged and ignored.
 
-    Remote workers. [remotes] attaches connected TCP worker sockets
-    ({!Exec.Remote}) to the pool. The runner sends each one a
-    campaign-init frame ({!remote_init_json}) and ships self-contained
-    [{k; target; src}] task payloads instead of bare indices; PR-7
-    supervision (watchdog, backoff accounting, breaker, degraded-serial
-    completion) applies to remote workers unchanged, with the socket
-    shutdown standing in for SIGKILL. With remotes attached, [Forked j]
-    runs the pool even at [j <= 1] (zero local workers is a valid
-    shape). [faults_of], [prof_dir] and [on_task_start] do not cross
-    the machine boundary — remote tasks run with no injected faults, no
-    profiler and no start hook.
-
     While running, SIGINT/SIGTERM are caught: the runner finishes flushing
     decided results to the checkpoint and raises {!Interrupted}. *)
 val run :
@@ -244,29 +235,15 @@ val run :
   ?breaker_threshold:int ->
   ?cache_find:(string -> result option) ->
   ?cache_store:(string -> result -> unit) ->
-  ?remotes:Unix.file_descr list ->
   (string * string) list ->
   summary
 
-(** {2 Remote-worker wire helpers}
-
-    Used by the [worker --connect] subcommand (via [Service.Worker]) on
-    the far side of a TCP link, and by tests. *)
-
-(** The one-shot parameter frame the runner sends each remote before
-    handing its socket to the pool: budgets, the config ladder (by
-    name — {!Loopa.Config.name} round-trips through [of_string]), and
-    whether telemetry is enabled coordinator-side. *)
-val remote_init_json :
-  budgets:budgets -> configs:Loopa.Config.t list -> Util.Json.t
-
-(** Build the pool [work] function a remote worker runs from a received
-    campaign-init frame: decodes the budgets/configs, enables telemetry
-    when the coordinator has it on, and returns a closure that executes
-    [{k; target; src}] task payloads through the same isolated-task body
-    as local workers. [Error] on a frame that is not a campaign-init or
-    carries an unparseable config. *)
-val remote_work_of_init :
-  Util.Json.t -> (Util.Json.t -> Util.Json.t, string) Stdlib.result
-
 val summary_to_json : summary -> Util.Json.t
+
+(** A checkpoint file as comparable lines: blank lines skipped and the
+    run-dependent fields ([wall_s], [telemetry]) dropped from each
+    object, everything else byte-for-byte. Two runs of one campaign —
+    serial or forked, same chaos seed, cold or served from the cache —
+    must normalize identically. [Error] names the first line that is
+    not JSON. *)
+val normalized_checkpoint : string -> (string list, string) Stdlib.result

@@ -122,11 +122,7 @@ let fd_readable ?(timeout = 0.0) fd =
   | r, _, _ -> r <> []
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-(* ---- the worker loop ----
-
-   Shared by forked workers (over pipes) and remote TCP workers (over a
-   connected socket, via [serve_loop]): the transport is just a pair of
-   fds speaking Ipc frames, so the loop cannot tell the difference. *)
+(* ---- the worker loop ---- *)
 
 let worker_loop rd wr ~work ~epilogue ~chaos =
   let pending : (int * Json.t) Queue.t = Queue.create () in
@@ -212,17 +208,10 @@ let worker_loop rd wr ~work ~epilogue ~chaos =
     end
   done
 
-(* Entry point for a remote worker process: speak the pool protocol over
-   an established transport (for TCP workers, the socket from
-   Remote.connect — rd and wr are the same fd there). Never returns: the
-   loop [_exit]s on "quit" (after the epilogue) or on transport loss. *)
-let serve_loop ~rd ~wr ?epilogue ?chaos ~work () =
-  worker_loop rd wr ~work ~epilogue ~chaos
-
 (* ---- parent-side bookkeeping ---- *)
 
 type worker = {
-  mutable pid : int; (* -1 for remote workers — never signalled or reaped *)
+  mutable pid : int;
   mutable wr : Unix.file_descr;
   mutable rd : Unix.file_descr;
   mutable assigned : int list; (* dispatched, not yet started *)
@@ -231,8 +220,6 @@ type worker = {
   mutable steal_pending : bool;
   mutable alive : bool;
   mutable respawn_at : float option; (* dead slot scheduled for revival *)
-  remote : bool; (* transport is a TCP socket, not a child's pipes *)
-  mutable muted : bool; (* chaos Stall: parent stops reading its frames *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -272,43 +259,17 @@ let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
         steal_pending = false;
         alive = true;
         respawn_at = None;
-        remote = false;
-        muted = false;
       }
-
-let remote_worker fd =
-  {
-    pid = -1;
-    wr = fd;
-    rd = fd;
-    assigned = [];
-    running = None;
-    started_at = 0.0;
-    steal_pending = false;
-    alive = true;
-    respawn_at = None;
-    remote = true;
-    muted = false;
-  }
-
-(* the only way to interrupt a remote worker: a socket shutdown surfaces
-   as EOF on both ends, whatever the worker is doing *)
-let shutdown_quiet fd =
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
     ?on_ordered ?(should_stop = fun () -> false) ?task_deadline_s ?backoff
-    ?breaker ?chaos ?(remotes = []) ~work (tasks : Json.t array) :
+    ?breaker ?chaos ~work (tasks : Json.t array) :
     outcome option array * stats =
   let n = Array.length tasks in
   let outcomes : outcome option array = Array.make n None in
   if n = 0 then (outcomes, zero_stats)
   else begin
-    (* with remote workers attached, zero local forks is a valid shape *)
-    let jobs =
-      if remotes = [] then max 1 (min jobs n) else max 0 (min jobs n)
-    in
-    let lanes = max 1 (jobs + List.length remotes) in
+    let jobs = max 1 (min jobs n) in
     let backoff =
       match backoff with Some b -> b | None -> Backoff.create ~seed:0 ()
     in
@@ -397,9 +358,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         w.alive <- false;
         close_quiet w.wr;
         close_quiet w.rd;
-        let cause =
-          if w.remote then "remote worker disconnected" else reap w.pid
-        in
+        let cause = reap w.pid in
         if stopping then begin
           (* interrupted run: in-flight work is simply not decided *)
           Option.iter
@@ -419,12 +378,8 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
            workload can't turn the parent into a fork storm. A slot with
            no budget just stays dead; if that was the last capacity the
            main loop notices and gives up rather than draining the queue
-           as Lost. Remote workers are never respawned: the coordinator
-           cannot re-establish a connection the far side initiated. *)
-        if
-          (not w.remote) && (not stopping)
-          && (not (Queue.is_empty pending))
-          && !respawn_budget > 0
+           as Lost. *)
+        if (not stopping) && (not (Queue.is_empty pending)) && !respawn_budget > 0
         then begin
           decr respawn_budget;
           let delay = Backoff.next backoff in
@@ -439,11 +394,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       end
     and send_to w j =
       try Ipc.write w.wr j
-      with
-      | Unix.Unix_error (Unix.EPIPE, _, _)
-      | Unix.Unix_error (Unix.EBADF, _, _)
-      | Unix.Unix_error (Unix.ECONNRESET, _, _)
-      ->
+      with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
         on_death w ~stopping:false
     in
     let dispatch () =
@@ -456,7 +407,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
             && not (Queue.is_empty pending)
           then begin
             let size =
-              max 1 (min max_chunk (Queue.length pending / (2 * lanes)))
+              max 1 (min max_chunk (Queue.length pending / (2 * jobs)))
             in
             let chunk = ref [] in
             for _ = 1 to size do
@@ -509,9 +460,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
        deadline, not the measured elapsed, so the outcome is
        deterministic. The death surfaces as EOF on the next select and
        takes the normal requeue/respawn path; running is cleared here so
-       the reaper does not re-deliver the task as Lost. A remote worker
-       cannot be signalled, so its remedy is a socket shutdown — same
-       observable EOF, and the far side exits on transport loss. *)
+       the reaper does not re-deliver the task as Lost. *)
     let check_watchdog () =
       match task_deadline_s with
       | None -> ()
@@ -524,31 +473,9 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
                 | Some i when now -. w.started_at > deadline ->
                     deliver i (Timed_out deadline);
                     w.running <- None;
-                    if w.remote then begin
-                      w.muted <- false;
-                      shutdown_quiet w.rd
-                    end
-                    else
-                      (try Unix.kill w.pid Sys.sigkill
-                       with Unix.Unix_error _ -> ())
+                    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
                 | _ -> ())
             !workers
-    in
-    (* Chaos against a remote's *link*, fired when the remote announces
-       the scheduled task: Sever records the loss deterministically and
-       shuts the socket down (its unstarted backlog requeues via the EOF
-       path); Stall mutes the fd — the parent stops reading frames, a
-       silent hang only the watchdog can resolve. Local workers have
-       their own (worker-side) fault schedule and are never link-chaosed. *)
-    let link_sabotage (w : worker) i =
-      if w.remote then
-        match Option.bind chaos (fun plan -> Chaos.link_fault plan i) with
-        | None -> ()
-        | Some Chaos.Sever ->
-            deliver i (Lost Chaos.severed_link_cause);
-            w.running <- None;
-            shutdown_quiet w.rd
-        | Some Chaos.Stall -> w.muted <- true
     in
     let handle_msg (w : worker) j =
       match obj_op j with
@@ -557,8 +484,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
             (fun i ->
               w.running <- Some i;
               w.started_at <- Unix.gettimeofday ();
-              w.assigned <- List.filter (fun a -> a <> i) w.assigned;
-              link_sabotage w i)
+              w.assigned <- List.filter (fun a -> a <> i) w.assigned)
             (obj_int "i" j)
       | Some "done" -> (
           match (obj_int "i" j, Json.member "r" j) with
@@ -600,11 +526,8 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         Array.iter
           (fun w ->
             if w.alive then begin
-              if w.remote then shutdown_quiet w.rd
-              else begin
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                ignore (reap w.pid)
-              end;
+              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (reap w.pid);
               close_quiet w.wr;
               close_quiet w.rd;
               w.alive <- false
@@ -612,10 +535,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
           !workers;
         Option.iter (fun b -> ignore (Sys.signal Sys.sigpipe b)) old_sigpipe)
       (fun () ->
-        (* remotes first so freshly forked locals inherit (and close) the
-           socket fds via other_fds *)
-        workers := Array.of_list (List.map remote_worker remotes);
-        workers := Array.append !workers (Array.init jobs (fun _ -> spawn ()));
+        workers := Array.init jobs (fun _ -> spawn ());
         while !decided < n && (not !stopped) && !gave_up = None do
           if should_stop () then stopped := true
           else if
@@ -636,18 +556,12 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
             dispatch ();
             let rds =
               Array.to_list !workers
-              |> List.filter_map (fun w ->
-                     if w.alive && not w.muted then Some w.rd else None)
+              |> List.filter_map (fun w -> if w.alive then Some w.rd else None)
             in
             if rds = [] then begin
-              if
-                Array.exists
-                  (fun w -> w.respawn_at <> None || (w.alive && w.muted))
-                  !workers
-              then
-                (* every readable worker is gone but a respawn is
-                   scheduled — or a muted (chaos-stalled) remote is
-                   waiting for the watchdog: wait instead of busy-looping *)
+              if Array.exists (fun w -> w.respawn_at <> None) !workers then
+                (* every worker is gone but a respawn is scheduled: wait
+                   instead of busy-looping *)
                 Unix.sleepf 0.02
               else if !decided < n then
                 gave_up := Some "worker respawn capacity exhausted"
@@ -693,8 +607,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
                     | exception Ipc.Protocol_error _ -> ()
                   in
                   drain ();
-                  if w.remote then shutdown_quiet w.rd
-                  else ignore (reap w.pid);
+                  ignore (reap w.pid);
                   close_quiet w.wr;
                   close_quiet w.rd;
                   w.alive <- false

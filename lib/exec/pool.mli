@@ -57,20 +57,7 @@
     them to the caller in task-index order as the contiguous completed
     prefix grows, which is what lets a caller with an append-only output
     (the campaign's JSONL checkpoint) stay byte-deterministic regardless
-    of scheduling.
-
-    {b Remote workers.} [remotes] attaches already-connected TCP sockets
-    ({!Remote}) as additional workers: the far side runs {!serve_loop},
-    which speaks the same frame protocol as a forked worker, so
-    scheduling, stealing, the watchdog, backoff accounting and the
-    breaker apply unchanged. The differences are confined to lifecycle:
-    a remote is never signalled (the watchdog's and shutdown's remedy is
-    a socket shutdown, which surfaces as EOF on both ends), never reaped,
-    and never respawned — a lost connection costs its in-flight task
-    ([Lost "remote worker disconnected"]) and the slot stays dead.
-    Chaos gains a coordinator-side schedule for remotes
-    ({!Chaos.link_fault}): severing the link mid-task, or muting it so
-    only the watchdog can resolve the silent stall. *)
+    of scheduling. *)
 
 type outcome =
   | Done of Util.Json.t  (** the worker's result payload *)
@@ -101,21 +88,6 @@ type stats = {
     [--jobs 0] resolves to. Always >= 1. *)
 val detect_jobs : unit -> int
 
-(** Run the worker side of the pool protocol over an established
-    transport — the entry point for a remote worker process after
-    {!Remote.connect} (there [rd] and [wr] are the same socket fd).
-    Never returns: the loop [_exit]s 0 on "quit" (after sending the
-    [epilogue] payload) and 1 on transport loss or a malformed frame.
-    [work] and [chaos] mean exactly what they do for forked workers. *)
-val serve_loop :
-  rd:Unix.file_descr ->
-  wr:Unix.file_descr ->
-  ?epilogue:(unit -> Util.Json.t) ->
-  ?chaos:Chaos.plan ->
-  work:(Util.Json.t -> Util.Json.t) ->
-  unit ->
-  unit
-
 (** [run ~jobs ~work tasks] executes [work tasks.(i)] for every [i] across
     [jobs] forked workers and returns one outcome per task ([None] only
     when [should_stop] or supervision ([stats.gave_up]) ended the run
@@ -138,13 +110,6 @@ val serve_loop :
     [Stall_self] faults needs a watchdog, or the stalled worker hangs
     the pool by design.
 
-    [remotes] attaches connected TCP worker sockets as additional pool
-    lanes (see the module doc). With at least one remote, [jobs] may be
-    0 — a purely remote pool; otherwise it is clamped to >= 1. The
-    caller keeps ownership of worker provisioning and of any
-    init-payload handshake; by the time the fd reaches the pool both
-    ends must be speaking pool frames.
-
     The pool temporarily ignores [SIGPIPE] (restored on exit) so a dying
     worker surfaces as [EPIPE]/EOF, never as a fatal signal.
 
@@ -164,7 +129,6 @@ val run :
   ?backoff:Backoff.t ->
   ?breaker:Breaker.t ->
   ?chaos:Chaos.plan ->
-  ?remotes:Unix.file_descr list ->
   work:(Util.Json.t -> Util.Json.t) ->
   Util.Json.t array ->
   outcome option array * stats

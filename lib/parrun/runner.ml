@@ -871,39 +871,16 @@ let parse_report (j : Json.t) : shard_report option =
 
 (* ---- conflict bookkeeping ---- *)
 
-let sanitize_name s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
-      | _ -> '_')
-    s
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let emit_bundle t (el : elig) msg : string option =
   match t.repro_dir with
   | None -> None
   | Some dir -> (
-      try
-        mkdir_p dir;
-        let b =
-          Repro.Bundle.make ~target:t.target ~stage:Loopa.Driver.Parrun
-            ~fingerprint:el.el_fp ~message:msg ~source:t.source ()
-        in
-        let file =
-          sanitize_name
-            (Printf.sprintf "%s_%s_bb%d" t.target el.el_fname el.el_header)
-          ^ ".repro.json"
-        in
-        let path = Filename.concat dir file in
-        Repro.Bundle.save path b;
-        Some path
-      with Sys_error _ | Unix.Unix_error _ -> None)
+      let b =
+        Repro.Bundle.make ~target:t.target ~stage:Loopa.Driver.Parrun
+          ~fingerprint:el.el_fp ~message:msg ~source:t.source ()
+      in
+      let name = Printf.sprintf "%s_%s_bb%d" t.target el.el_fname el.el_header in
+      try Some (Repro.Bundle.save_in ~dir ~name b) with Sys_error _ -> None)
 
 let handle_conflict t (st : loop_stats) (el : elig) (c : Conflict.conflict) =
   st.st_conflicts <- st.st_conflicts + 1;

@@ -194,6 +194,12 @@ let save path (b : t) =
       output_string oc (to_string b);
       output_char oc '\n')
 
+let save_in ~dir ~name b =
+  Util.Fs.mkdir_p dir;
+  let path = Filename.concat dir (Util.Fs.safe_name name ^ ".repro.json") in
+  save path b;
+  path
+
 let load path : (t, string) result =
   match In_channel.with_open_text path In_channel.input_all with
   | s -> of_string s

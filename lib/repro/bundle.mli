@@ -65,4 +65,10 @@ val of_string : string -> (t, string) result
 (** [save path b] writes the bundle as a single JSON document. *)
 val save : string -> t -> unit
 
+(** [save_in ~dir ~name b] creates [dir] if needed ({!Util.Fs.mkdir_p})
+    and saves [b] as [<name>.repro.json] there, with [name] made
+    file-safe by {!Util.Fs.safe_name}. Returns the path written. Raises
+    [Sys_error] when the directory or the file cannot be written. *)
+val save_in : dir:string -> name:string -> t -> string
+
 val load : string -> (t, string) result

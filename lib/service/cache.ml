@@ -67,16 +67,8 @@ let is_entry_name name =
 
 let entry_path t k = Filename.concat t.dir (k ^ ".json")
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
 let open_dir ?(max_bytes = default_max_bytes) dir =
-  mkdir_p dir;
+  Util.Fs.mkdir_p dir;
   let t =
     {
       dir;
@@ -208,29 +200,3 @@ let store t k v =
 let stats t = (t.hits, t.misses, t.evictions)
 
 let size_bytes t = t.total
-
-let n_entries t = Hashtbl.length t.entries
-
-let flush t =
-  let entries =
-    Hashtbl.fold
-      (fun k e acc ->
-        Json.Obj [ ("key", Json.String k); ("bytes", Json.Int e.size) ] :: acc)
-      t.entries []
-  in
-  let doc =
-    Json.Obj
-      [
-        ("entries", Json.List entries);
-        ("total_bytes", Json.Int t.total);
-        ("max_bytes", Json.Int t.max_bytes);
-        ("hits", Json.Int t.hits);
-        ("misses", Json.Int t.misses);
-        ("evictions", Json.Int t.evictions);
-        ("rev", Json.String (code_rev ()));
-      ]
-  in
-  let tmp = Filename.concat t.dir (Printf.sprintf ".tmp.%d.index" (Unix.getpid ())) in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Json.to_string doc));
-  Unix.rename tmp (Filename.concat t.dir "index.json")

@@ -1,11 +1,7 @@
-(* Canonical text renderers for analysis results, shared by the local
-   CLI and the daemon/client pair. "Byte-identical reports" is the
-   service contract, and sharing the renderer is how it is kept by
-   construction rather than by test: the daemon renders with exactly the
-   code the CLI would have used, the client prints the bytes verbatim,
-   and cached entries replay the same bytes again. Output is built into
-   a string (never printed here) so it can equally go to stdout, into a
-   cache entry, or over the wire. *)
+(* Canonical text renderers for analysis results. Output is built into a
+   string (never printed here) so the CLI can print it and store the very
+   same bytes in the result cache; a warm hit then replays them verbatim,
+   byte-identical to a cold run by construction. *)
 
 let report ~show_loops (r : Loopa.Evaluate.report) : string =
   let b = Buffer.create 512 in
@@ -43,6 +39,14 @@ let report ~show_loops (r : Loopa.Evaluate.report) : string =
     pf "\n%s\n" (Report.Table.render t)
   end;
   Buffer.contents b
+
+let sweep_row (r : Loopa.Evaluate.report) =
+  [
+    Loopa.Config.name r.Loopa.Evaluate.config;
+    Printf.sprintf "%.2f" r.Loopa.Evaluate.speedup;
+    Printf.sprintf "%.1f" r.Loopa.Evaluate.coverage_pct;
+    Printf.sprintf "%.1f" r.Loopa.Evaluate.static_coverage_pct;
+  ]
 
 let campaign_summary (s : Campaign.Runner.summary) : string =
   let b = Buffer.create 1024 in

@@ -1,18 +1,20 @@
-(** Canonical text renderers shared by the local CLI, the cache, and
-    the daemon/client pair. The service contract — client output is
-    byte-identical to the local CLI — holds by construction because both
-    paths call exactly these functions and print the returned string
-    verbatim. Both renderers are deterministic for deterministic inputs
+(** Canonical text renderers for the CLI's cacheable outputs. The CLI
+    prints the returned string and stores the same bytes in the result
+    cache ({!Cache}), so a warm hit replays output byte-identical to a
+    cold run. Every renderer is deterministic for deterministic inputs
     (no clocks, no environment). *)
 
 (** The [analyze] report: config/cost/speedup/coverage block, plus the
     [show_loops] costliest per-loop rows when positive. *)
 val report : show_loops:int -> Loopa.Evaluate.report -> string
 
+(** The four cells of one [sweep] table row: configuration, speedup,
+    coverage %, static %. *)
+val sweep_row : Loopa.Evaluate.report -> string list
+
 (** The end-of-campaign summary: per-target table, totals line (with
     resumed-from-checkpoint / served-from-cache notes), failure
     breakdown, per-config geomeans. Contains [wall_s] values, so two
-    {e runs} differ textually even when their checkpoints normalize
-    identically — byte-identity holds between the daemon's rendering
-    and the client's printing of one run, not across runs. *)
+    runs differ textually even when their checkpoints normalize
+    identically. *)
 val campaign_summary : Campaign.Runner.summary -> string

@@ -213,19 +213,9 @@ let test_resume_tolerates_garbage () =
    and telemetry carries clock readings — everything else must be
    byte-identical between serial and forked runs. *)
 let normalized_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun l ->
-         match Util.Json.of_string l with
-         | Ok (Util.Json.Obj fields) ->
-             Util.Json.to_string
-               (Util.Json.Obj
-                  (List.filter
-                     (fun (k, _) -> k <> "wall_s" && k <> "telemetry")
-                     fields))
-         | Ok j -> Util.Json.to_string j
-         | Error e -> Alcotest.failf "unparseable checkpoint line %S: %s" l e)
+  match Runner.normalized_checkpoint path with
+  | Ok lines -> lines
+  | Error m -> Alcotest.failf "%s: %s" path m
 
 let mixed_targets =
   [
@@ -349,6 +339,56 @@ let test_interrupt_flushes_and_resumes () =
 
 (* ---- acceptance: truncated profiles stay scorable and sound ---- *)
 
+(* ---- artifact directories under forked workers ---- *)
+
+let fresh_dir tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "campaign-%s-%d-%d" tag (Unix.getpid ()) (Random.bits ()))
+
+(* Forked workers create the same profile directory at once; every one
+   of them must come out of mkdir_p with the directory in place. A few
+   rounds, since one round can miss the race. *)
+let test_concurrent_mkdir_p () =
+  for _ = 1 to 5 do
+    let dir = Filename.concat (fresh_dir "mkdir") "a/b/c" in
+    let start = Unix.gettimeofday () +. 0.1 in
+    let children =
+      List.init 8 (fun _ ->
+          match Unix.fork () with
+          | 0 ->
+              Unix.sleepf (Float.max 0.0 (start -. Unix.gettimeofday ()));
+              let ok =
+                try
+                  Util.Fs.mkdir_p dir;
+                  Sys.is_directory dir
+                with _ -> false
+              in
+              Unix._exit (if ok then 0 else 1)
+          | pid -> pid)
+    in
+    let failed =
+      List.filter
+        (fun pid ->
+          match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> false | _ -> true)
+        children
+    in
+    Alcotest.(check int) "every child succeeded" 0 (List.length failed)
+  done
+
+let test_forked_profile_dir () =
+  let dir = Filename.concat (fresh_dir "prof") "nested" in
+  let named = List.init 4 (fun i -> (Printf.sprintf "t%d" i, good_src)) in
+  let s =
+    Runner.run ~budgets:(budgets ()) ~log:quiet ~prof_dir:dir
+      ~executor:(Runner.Forked 2) named
+  in
+  Alcotest.(check int) "completed" 4 s.Runner.n_completed;
+  List.iter
+    (fun (t, _) ->
+      Alcotest.(check bool) (t ^ " flamegraph") true
+        (Sys.file_exists (Filename.concat dir (t ^ ".folded"))))
+    named
+
 let test_truncated_profile_scorable () =
   let a =
     Loopa.Driver.analyze_source ~fuel:500 ~static_prune:false good_src
@@ -397,6 +437,9 @@ let () =
           Alcotest.test_case "worker-lost codec" `Quick test_worker_lost_codec;
           Alcotest.test_case "interrupt flushes and resumes" `Quick
             test_interrupt_flushes_and_resumes;
+          Alcotest.test_case "concurrent mkdir_p" `Quick test_concurrent_mkdir_p;
+          Alcotest.test_case "forked profile dir complete" `Quick
+            test_forked_profile_dir;
         ] );
       ( "degradation",
         [

@@ -44,13 +44,10 @@ let checkpoint_lines path =
   |> List.filter (fun l -> String.trim l <> "")
 
 (* wall_s and telemetry are the only legitimately nondeterministic fields *)
-let normalize line =
-  match J.of_string line with
-  | Ok (J.Obj fields) ->
-      J.to_string
-        (J.Obj
-           (List.filter (fun (k, _) -> k <> "wall_s" && k <> "telemetry") fields))
-  | _ -> line
+let normalized path =
+  match Runner.normalized_checkpoint path with
+  | Ok lines -> lines
+  | Error m -> Alcotest.failf "%s: %s" path m
 
 let status_of (s : Runner.summary) name =
   match
@@ -166,9 +163,8 @@ let test_same_seed_byte_identical_checkpoints () =
       with_tmp (fun b ->
           pass a;
           pass b;
-          let la = List.map normalize (checkpoint_lines a) in
-          let lb = List.map normalize (checkpoint_lines b) in
-          Alcotest.(check (list string)) "normalized checkpoints identical" la lb))
+          Alcotest.(check (list string))
+            "normalized checkpoints identical" (normalized a) (normalized b)))
 
 (* ---- injected checkpoint-write failures heal on resume ---- *)
 

@@ -85,6 +85,36 @@ let test_bundle_rejects_garbage () =
   | Ok _ -> Alcotest.fail "accepted a bundle with no target/stage/source"
   | Error _ -> ()
 
+(* Registry target names (and the parrun "<target>_<fn>_bb<N>" names
+   built from them) are file-safe already, so their bundle file names do
+   not depend on how the sanitizer treats other bytes; save_in creates
+   missing directories and maps everything else to '_'. *)
+let test_bundle_save_in () =
+  List.iter
+    (fun (b : Suites.Suite.benchmark) ->
+      let name = b.Suites.Suite.name in
+      Alcotest.(check string) (name ^ " kept") name (Util.Fs.safe_name name);
+      let loop = name ^ "_main_bb3" in
+      Alcotest.(check string) (loop ^ " kept") loop (Util.Fs.safe_name loop))
+    (Suites.Suite.all ());
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "loopa-save-in-%d/nested" (Unix.getpid ()))
+  in
+  let b =
+    Repro.Bundle.make ~target:"t" ~stage:Loopa.Driver.Execute ~fingerprint:"crash"
+      ~message:"m" ~source:"fn main() -> int { return 0; }" ()
+  in
+  let path = Repro.Bundle.save_in ~dir ~name:"examples/x.lp" b in
+  Alcotest.(check string) "sanitized path"
+    (Filename.concat dir "examples_x_lp.repro.json") path;
+  (match Repro.Bundle.load path with
+  | Ok b' -> Alcotest.(check bool) "round-trips" true (b = b')
+  | Error m -> Alcotest.failf "unreadable: %s" m);
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir)
+
 (* ---- fingerprints ---- *)
 
 let test_fingerprints () =
@@ -264,6 +294,7 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_bundle_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
+          Alcotest.test_case "save_in names" `Quick test_bundle_save_in;
         ] );
       ( "fingerprint",
         [ Alcotest.test_case "class and matching" `Quick test_fingerprints ] );

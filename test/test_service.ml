@@ -1,9 +1,7 @@
-(* The analysis-as-a-service layer: content-addressed cache semantics
-   (hit/miss/evict, knob-fingerprint sensitivity, corruption tolerance,
-   atomic concurrent writers), the daemon/client round trip (byte
-   identity against the local renderer, warm-cache second submission,
-   graceful SIGTERM), remote TCP workers driving a campaign to the same
-   results as a serial run, and chaos link faults (sever, stall). *)
+(* The result cache: content-addressed cache semantics (hit/miss/evict,
+   knob-fingerprint sensitivity, corruption tolerance, atomic concurrent
+   writers), campaigns run cold then warm through a real cache under
+   both executors, and the shared renderer. *)
 
 module J = Util.Json
 module Cache = Service.Cache
@@ -167,209 +165,65 @@ let test_cache_concurrent_writers () =
             (s = "a" ^ String.make 65536 'a' || s = "b" ^ String.make 65536 'b')
       | _ -> Alcotest.fail "expected an intact entry after the race")
 
-(* ---- daemon round trip ---- *)
+(* ---- campaigns through the cache ---- *)
 
-let wait_for_socket path =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec loop () =
-    if Sys.file_exists path then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "daemon socket never appeared"
-    else begin
-      Unix.sleepf 0.05;
-      loop ()
-    end
+(* The campaign's cache hooks exactly as the CLI builds them: one entry
+   per target, keyed on its source and the campaign knob fingerprint. *)
+let cache_hooks c named ~budgets ~stored =
+  let fingerprint = Keys.campaign ~budgets ~configs:Loopa.Config.figure_ladder in
+  let key t = Cache.key ~source:(List.assoc t named) ~fingerprint in
+  let find t =
+    Option.bind (Cache.find c (key t)) (fun v ->
+        Result.to_option (Runner.result_of_json v))
   in
-  loop ()
+  let store t r =
+    stored := t :: !stored;
+    Cache.store c (key t) (Runner.result_to_json r)
+  in
+  (find, store, key)
 
-let normalized_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun line ->
-         match J.of_string line with
-         | Ok (J.Obj fields) ->
-             J.to_string
-               (J.Obj
-                  (List.filter
-                     (fun (k, _) -> k <> "wall_s" && k <> "telemetry")
-                     fields))
-         | _ -> line)
+let normalized path =
+  match Runner.normalized_checkpoint path with
+  | Ok lines -> lines
+  | Error m -> Alcotest.failf "%s: %s" path m
 
-let test_daemon_round_trip () =
+(* A cold then a warm run of one campaign through a real cache: hits are
+   checkpointed in task order like fresh results, so the warm checkpoint
+   normalizes to the cold one, and errored results are never stored. *)
+let test_campaign_cold_warm executor () =
   with_tmp_dir (fun dir ->
-      let socket = Filename.concat dir "d.sock" in
-      let cache_dir = Filename.concat dir "cache" in
-      let pid =
-        match Unix.fork () with
-        | 0 ->
-            (try Service.Daemon.serve ~socket ~cache_dir ~log:quiet ()
-             with _ -> Unix._exit 1);
-            Unix._exit 0
-        | pid -> pid
+      let named =
+        [ ("good", good_src); ("other", other_src); ("broken", "} fn main(") ]
       in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          wait_for_socket socket;
-          (* ping *)
-          (match Service.Client.submit ~socket Service.Client.ping_request with
-          | Ok _ -> ()
-          | Error (m, _) -> Alcotest.failf "ping failed: %s" m);
-          (* analyze: bytes must equal the local renderer's *)
-          let fuel = 1_000_000 in
-          let config = "reduc1-dep1-fn2 HELIX" in
-          let req =
-            Service.Client.analyze_request ~source:good_src ~config ~fuel
-              ~loops:8 ~optimize:false
-          in
-          let expected =
-            Service.Render.report ~show_loops:8
-              (Loopa.Driver.evaluate
-                 (Loopa.Driver.analyze_source ~fuel ~optimize:false good_src)
-                 (Loopa.Config.of_string config))
-          in
-          let text_of frame =
-            Option.value ~default:""
-              (Option.bind (J.member "text" frame) J.to_str)
-          in
-          let cached_of frame =
-            match J.member "cached" frame with Some (J.Bool b) -> b | _ -> false
-          in
-          (match Service.Client.submit ~socket req with
-          | Ok frame ->
-              Alcotest.(check string) "analyze bytes" expected (text_of frame);
-              Alcotest.(check bool) "cold" false (cached_of frame)
-          | Error (m, _) -> Alcotest.failf "analyze failed: %s" m);
-          (match Service.Client.submit ~socket req with
-          | Ok frame ->
-              Alcotest.(check string) "warm bytes" expected (text_of frame);
-              Alcotest.(check bool) "warm hit" true (cached_of frame)
-          | Error (m, _) -> Alcotest.failf "warm analyze failed: %s" m);
-          (* campaign: checkpoint must normalize to a local serial run's *)
-          let named = [ ("good", good_src); ("other", other_src) ] in
-          let req =
-            Service.Client.campaign_request ~targets:named ~jobs:1 ~fuel
-              ~retries:1 ()
-          in
-          let progress = ref 0 in
-          let daemon_ckpt =
-            match
-              Service.Client.submit ~socket ~on_frame:(fun _ -> incr progress) req
-            with
-            | Ok frame ->
-                Option.value ~default:""
-                  (Option.bind (J.member "checkpoint" frame) J.to_str)
-            | Error (m, _) -> Alcotest.failf "campaign failed: %s" m
-          in
-          Alcotest.(check bool) "progress streamed" true (!progress > 0);
-          let budgets = { Runner.default_budgets with Runner.fuel; retries = 1 } in
-          let local_ckpt = Filename.concat dir "local.ckpt" in
-          ignore (Runner.run ~budgets ~checkpoint:local_ckpt ~log:quiet named);
-          let daemon_path = Filename.concat dir "daemon.ckpt" in
-          Out_channel.with_open_text daemon_path (fun oc ->
-              Out_channel.output_string oc daemon_ckpt);
-          Alcotest.(check (list string))
-            "normalized checkpoints identical" (normalized_lines local_ckpt)
-            (normalized_lines daemon_path);
-          (* second submission: every target served from the cache *)
-          (match Service.Client.submit ~socket req with
-          | Ok frame ->
-              let cached =
-                Option.value ~default:(-1)
-                  (Option.bind (J.member "cached" frame) J.to_int)
-              in
-              Alcotest.(check int) "100% cache hit-rate" 2 cached
-          | Error (m, _) -> Alcotest.failf "warm campaign failed: %s" m);
-          (* graceful SIGTERM: clean exit *)
-          Unix.kill pid Sys.sigterm;
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _, Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
-          | _ -> Alcotest.fail "daemon killed by signal"))
-
-(* ---- remote TCP workers ---- *)
-
-(* Fork a worker process that dials the coordinator and serves until the
-   pool tells it to quit. *)
-let spawn_worker port =
-  match Unix.fork () with
-  | 0 ->
-      (try Service.Worker.run ~host:"127.0.0.1" ~port with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid -> pid
-
-let with_remote f =
-  let lfd = Exec.Remote.listen ~host:"127.0.0.1" ~port:0 in
-  let port = Exec.Remote.bound_port lfd in
-  let wpid = spawn_worker port in
-  let fd =
-    Fun.protect
-      ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-      (fun () -> Exec.Remote.accept_worker ~timeout_s:10.0 lfd)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Unix.kill wpid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] wpid) with Unix.Unix_error _ -> ())
-    (fun () -> f fd)
-
-let status_sig (r : Runner.result) =
-  (r.Runner.target, Runner.status_to_string r.Runner.status)
-
-let test_remote_campaign_matches_serial () =
-  let named = [ ("good", good_src); ("other", other_src) ] in
-  let budgets = { Runner.default_budgets with Runner.fuel = 1_000_000 } in
-  let serial = Runner.run ~budgets ~log:quiet named in
-  let remote =
-    with_remote (fun fd ->
-        Runner.run ~budgets ~log:quiet ~executor:(Runner.Forked 1) ~remotes:[ fd ]
-          named)
-  in
-  Alcotest.(check (list (pair string string)))
-    "statuses match serial"
-    (List.map status_sig serial.Runner.results)
-    (List.map status_sig remote.Runner.results);
-  Alcotest.(check int) "all completed" 2 remote.Runner.n_completed
-
-let test_remote_link_sever () =
-  let named = [ ("good", good_src); ("other", other_src) ] in
-  let budgets = { Runner.default_budgets with Runner.fuel = 1_000_000 } in
-  let chaos = Exec.Chaos.explicit ~link_faults:[ (0, Exec.Chaos.Sever) ] [] in
-  let summary =
-    with_remote (fun fd ->
-        (* zero local workers: every task must go over the (sabotaged) link *)
-        Runner.run ~budgets ~log:quiet ~executor:(Runner.Forked 0)
-          ~remotes:[ fd ] ~chaos named)
-  in
-  (match (List.hd summary.Runner.results).Runner.status with
-  | Runner.Errored (Runner.Worker_lost cause) ->
-      Alcotest.(check string) "sever cause" Exec.Chaos.severed_link_cause cause
-  | st -> Alcotest.failf "expected worker-lost, got %s" (Runner.status_to_string st));
-  (* the second task still finishes — degraded serial completion *)
-  Alcotest.(check int) "other task completed" 1 summary.Runner.n_completed
-
-let test_remote_link_stall () =
-  let named = [ ("good", good_src); ("other", other_src) ] in
-  let budgets =
-    { Runner.default_budgets with Runner.fuel = 1_000_000; watchdog_s = Some 1.0 }
-  in
-  let chaos = Exec.Chaos.explicit ~link_faults:[ (0, Exec.Chaos.Stall) ] [] in
-  let summary =
-    with_remote (fun fd ->
-        Runner.run ~budgets ~log:quiet ~executor:(Runner.Forked 0)
-          ~remotes:[ fd ] ~chaos named)
-  in
-  (match (List.hd summary.Runner.results).Runner.status with
-  | Runner.Errored (Runner.Task_timeout cause) ->
-      Alcotest.(check bool) "timeout names the deadline" true
-        (contains cause "deadline" || contains cause "timeout" || cause <> "")
-  | st ->
-      Alcotest.failf "expected task-timeout, got %s" (Runner.status_to_string st));
-  Alcotest.(check int) "other task completed" 1 summary.Runner.n_completed
+      let budgets = { Runner.default_budgets with Runner.fuel = 1_000_000 } in
+      let c = Cache.open_dir (Filename.concat dir "cache") in
+      let stored = ref [] in
+      let find, store, key = cache_hooks c named ~budgets ~stored in
+      let pass name =
+        let checkpoint = Filename.concat dir name in
+        let s =
+          Runner.run ~budgets ~checkpoint ~log:quiet ~executor ~cache_find:find
+            ~cache_store:store named
+        in
+        (s, checkpoint)
+      in
+      let cold, cold_ckpt = pass "cold.jsonl" in
+      Alcotest.(check int) "cold: nothing cached" 0 cold.Runner.n_cached;
+      Alcotest.(check int) "cold: broken errored" 1 cold.Runner.n_errored;
+      Alcotest.(check (list string))
+        "only scored results stored" [ "good"; "other" ]
+        (List.sort compare !stored);
+      Alcotest.(check (option reject))
+        "errored result absent from the cache" None
+        (Cache.find c (key "broken"));
+      stored := [];
+      let warm, warm_ckpt = pass "warm.jsonl" in
+      Alcotest.(check int) "warm: both scored targets hit" 2 warm.Runner.n_cached;
+      Alcotest.(check (list string))
+        "warm: only the errored task re-ran, and is not stored" [] !stored;
+      Alcotest.(check (list string))
+        "warm checkpoint normalizes to the cold one" (normalized cold_ckpt)
+        (normalized warm_ckpt))
 
 (* ---- renderer ---- *)
 
@@ -409,14 +263,12 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_cache_concurrent_writers;
         ] );
-      ( "daemon",
-        [ Alcotest.test_case "round trip + warm + SIGTERM" `Quick test_daemon_round_trip ] );
-      ( "remote",
+      ( "campaign",
         [
-          Alcotest.test_case "campaign matches serial" `Quick
-            test_remote_campaign_matches_serial;
-          Alcotest.test_case "chaos: link sever" `Quick test_remote_link_sever;
-          Alcotest.test_case "chaos: link stall" `Quick test_remote_link_stall;
+          Alcotest.test_case "cold/warm through the cache, serial" `Quick
+            (test_campaign_cold_warm Runner.Serial);
+          Alcotest.test_case "cold/warm through the cache, forked" `Quick
+            (test_campaign_cold_warm (Runner.Forked 2));
         ] );
       ( "render",
         [
