@@ -130,7 +130,7 @@ let prom_arg =
           "Record pipeline telemetry and write a Prometheus-style text dump \
            of counters, histograms and span aggregates to $(docv).")
 
-(* ---- parallelism (sweep / campaign) ---- *)
+(* ---- parallelism (campaign / chaos) ---- *)
 
 let jobs_arg =
   Arg.(
@@ -446,32 +446,8 @@ let analyze_cmd =
 
 (* ---- sweep ---- *)
 
-(* guarded parallel execution speaks Parrun.Guard rows; the report layer
-   renders its own plain record — bridge the two *)
-let calib_report_rows rows =
-  List.map
-    (fun (r : Parrun.Guard.calib_row) ->
-      {
-        Report.Calibration.fname = r.Parrun.Guard.cb_fname;
-        lid = r.Parrun.Guard.cb_lid;
-        header = r.Parrun.Guard.cb_header;
-        eligible = r.Parrun.Guard.cb_eligible;
-        why = r.Parrun.Guard.cb_why;
-        invocations = r.Parrun.Guard.cb_invocations;
-        sharded = r.Parrun.Guard.cb_sharded;
-        committed = r.Parrun.Guard.cb_committed;
-        rollbacks = r.Parrun.Guard.cb_rollbacks;
-        conflicts = r.Parrun.Guard.cb_conflicts;
-        quarantined = r.Parrun.Guard.cb_quarantined;
-        serial_s = r.Parrun.Guard.cb_serial_s;
-        parallel_s = r.Parrun.Guard.cb_parallel_s;
-        measured = r.Parrun.Guard.cb_measured;
-        predicted = r.Parrun.Guard.cb_predicted;
-      })
-    rows
-
 let sweep_cmd =
-  let run target fuel jobs parallel_loops cache serve trace metrics prom =
+  let run target fuel cache serve trace metrics prom =
     handle_errors (fun () ->
         with_telemetry ~trace ~metrics ~prom (fun () ->
         with_serve serve (fun srv ->
@@ -485,13 +461,7 @@ let sweep_cmd =
             in
             publish_status srv (sweep_status "analyzing");
             let source = read_program target in
-            let jobs = resolve_jobs jobs in
-            (* --parallel-loops times a live run; cached bytes cannot
-               stand in for it, so it bypasses the cache *)
-            let cache =
-              if parallel_loops then None
-              else Option.map Service.Cache.open_dir cache
-            in
+            let cache = Option.map Service.Cache.open_dir cache in
             let key =
               Service.Cache.key ~source
                 ~fingerprint:(Service.Keys.sweep ~fuel)
@@ -508,116 +478,40 @@ let sweep_cmd =
                 let b = Buffer.create 512 in
                 Buffer.add_string b (dep_delta_line a.Loopa.Driver.ms);
                 Buffer.add_char b '\n';
-                let configs = Array.of_list Loopa.Config.figure_ladder in
-                let rows =
-                  if jobs <= 1 then
-                    Array.to_list
-                      (Array.map
-                         (fun cfg ->
-                           Service.Render.sweep_row (Loopa.Driver.evaluate a cfg))
-                         configs)
-                  else begin
-                    (* each rung is one pool task; the analysis rides into
-                       the workers through the fork image — only the four
-                       rendered cells come back over the wire *)
-                    let work payload =
-                      let k = Option.value ~default:0 (Util.Json.to_int payload) in
-                      Util.Json.List
-                        (List.map
-                           (fun s -> Util.Json.String s)
-                           (Service.Render.sweep_row
-                              (Loopa.Driver.evaluate a configs.(k))))
-                    in
-                    let outcomes, _stats =
-                      Exec.Pool.run ~jobs ~work
-                        (Array.init (Array.length configs) (fun i ->
-                             Util.Json.Int i))
-                    in
-                    Array.to_list
-                      (Array.mapi
-                         (fun i outcome ->
-                           match outcome with
-                           | Some (Exec.Pool.Done (Util.Json.List cells)) ->
-                               List.map
-                                 (fun c ->
-                                   Option.value ~default:"?" (Util.Json.to_str c))
-                                 cells
-                           | Some (Exec.Pool.Lost cause) ->
-                               [
-                                 Loopa.Config.name configs.(i);
-                                 "lost: " ^ cause;
-                                 "-";
-                                 "-";
-                               ]
-                           | _ -> [ Loopa.Config.name configs.(i); "?"; "-"; "-" ])
-                         outcomes)
-                  end
-                in
                 let t =
                   Report.Table.create
                     [ "configuration"; "speedup"; "coverage %"; "static %" ]
                 in
-                List.iter (Report.Table.add_row t) rows;
+                List.iter
+                  (fun cfg ->
+                    Report.Table.add_row t
+                      (Service.Render.sweep_row (Loopa.Driver.evaluate a cfg)))
+                  Loopa.Config.figure_ladder;
                 Printf.bprintf b "%s\n" (Report.Table.render t);
                 let text = Buffer.contents b in
-                (* rows with a lost worker are not a result — don't cache them *)
-                let complete =
-                  not (List.exists (List.exists (fun c -> c = "?" || c = "-")) rows)
-                in
-                if complete then
-                  Option.iter
-                    (fun c ->
-                      Service.Cache.store c key
-                        (Util.Json.Obj
-                           [
-                             ("kind", Util.Json.String "sweep");
-                             ("text", Util.Json.String text);
-                           ]))
-                    cache;
+                Option.iter
+                  (fun c ->
+                    Service.Cache.store c key
+                      (Util.Json.Obj
+                         [
+                           ("kind", Util.Json.String "sweep");
+                           ("text", Util.Json.String text);
+                         ]))
+                  cache;
                 print_string text);
-            publish_status srv (sweep_status "done");
-            (* ---- guarded parallel execution: predicted vs measured ---- *)
-            if parallel_loops then begin
-              let knobs =
-                {
-                  Parrun.Runner.default_knobs with
-                  Parrun.Runner.jobs = max 2 jobs;
-                }
-              in
-              print_newline ();
-              print_endline "guarded parallel execution (measured vs predicted):";
-              match Parrun.Guard.run ~knobs ~fuel ~target source with
-              | Error f -> print_endline (Loopa.Driver.failure_to_string f)
-              | Ok r ->
-                  print_endline
-                    (Report.Calibration.render (calib_report_rows r.Parrun.Guard.rows));
-                  Printf.printf "serial %.4fs  parallel %.4fs  %s\n"
-                    r.Parrun.Guard.serial_wall r.Parrun.Guard.parallel_wall
-                    (if r.Parrun.Guard.identical then "byte-identical"
-                     else "DIVERGED")
-            end)))
-  in
-  let parallel_loops_arg =
-    Arg.(
-      value & flag
-      & info [ "parallel-loops" ]
-          ~doc:
-            "Additionally execute the program under the guarded parallel \
-             runtime and append a calibration table: measured parallel \
-             speedup per proven-DOALL loop against the cost model's \
-             prediction.")
+            publish_status srv (sweep_status "done"))))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Evaluate the full Figure-2/3 configuration ladder.")
     Term.(
-      const run $ target_arg $ fuel_arg $ jobs_arg $ parallel_loops_arg
-      $ cache_arg $ serve_arg $ trace_arg $ metrics_arg $ prom_arg)
+      const run $ target_arg $ fuel_arg $ cache_arg $ serve_arg $ trace_arg
+      $ metrics_arg $ prom_arg)
 
 (* ---- parrun ---- *)
 
 let print_parrun_result target (r : Parrun.Guard.result) =
   Printf.printf "== %s ==\n" target;
-  let rows = calib_report_rows r.Parrun.Guard.rows in
+  let rows = r.Parrun.Guard.rows in
   if rows = [] then print_endline "no Proven_doall loops"
   else begin
     print_endline (Report.Calibration.render rows);
@@ -658,8 +552,7 @@ let parrun_result_json target (r : Parrun.Guard.result) : Util.Json.t =
       ("parallel_wall_s", Util.Json.Float r.Parrun.Guard.parallel_wall);
       ( "loops",
         Util.Json.List
-          (List.map Report.Calibration.row_to_json
-             (calib_report_rows r.Parrun.Guard.rows)) );
+          (List.map Report.Calibration.row_to_json r.Parrun.Guard.rows) );
       ( "conflicts",
         Util.Json.List
           (List.map

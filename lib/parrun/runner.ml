@@ -19,8 +19,6 @@ type knobs = {
   jobs : int;
   min_trip : int;
   round_chunk : int;
-  max_rounds : int;
-  max_shard_writes : int;
   watchdog_s : float option;
   chaos : Exec.Chaos.shard_plan option;
 }
@@ -30,35 +28,34 @@ let default_knobs =
     jobs = 2;
     min_trip = 64;
     round_chunk = 256;
-    max_rounds = 24;
-    max_shard_writes = 1_000_000;
     watchdog_s = None;
     chaos = None;
   }
+
+(* unknown-trip rounds before giving up (rollback) *)
+let max_rounds = 24
+
+(* per-shard distinct-written-words cap; beyond it the shard reports
+   overflow and the invocation rolls back *)
+let max_shard_writes = 1_000_000
 
 (* ---- per-loop stats / conflict records ---- *)
 
 type loop_stats = {
   st_fname : string;
   st_lid : int;
-  st_header : int;
   mutable st_invocations : int;
-  mutable st_declined : int;
   mutable st_sharded : int;
   mutable st_committed : int;
   mutable st_rollbacks : int;
   mutable st_conflicts : int;
   mutable st_shard_failures : int;
   mutable st_rounds : int;
-  mutable st_shards : int;
   mutable st_par_wall : float;
 }
 
 type conflict_record = {
   cf_fingerprint : string;
-  cf_fname : string;
-  cf_lid : int;
-  cf_header : int;
   cf_message : string;
   cf_bundle : string option;
 }
@@ -117,7 +114,6 @@ type t = {
   c_rounds : Obs.Telemetry.counter;
 }
 
-let knobs t = t.knobs
 let quarantine t = t.quar
 let conflicts t = t.confl
 
@@ -527,16 +523,13 @@ let stats_for t (el : elig) =
         {
           st_fname = el.el_fname;
           st_lid = el.el_lid;
-          st_header = el.el_header;
           st_invocations = 0;
-          st_declined = 0;
           st_sharded = 0;
           st_committed = 0;
           st_rollbacks = 0;
           st_conflicts = 0;
           st_shard_failures = 0;
           st_rounds = 0;
-          st_shards = 0;
           st_par_wall = 0.;
         }
       in
@@ -599,6 +592,15 @@ type resolved =
   | Rconst of Rvalue.rv  (* invariant entry value *)
   | Rident of Scev.Recurrence.kind
 
+(* A reduction's running fold over every absorbed shard's latch partial,
+   starting from the preheader value. *)
+type red_acc = {
+  ra_phi : int;
+  ra_latch : int;
+  ra_kind : Scev.Recurrence.kind;
+  mutable ra_acc : int64;
+}
+
 let seed_value (res : resolved) lo : Rvalue.rv =
   match res with
   | Rint (base, step) ->
@@ -609,8 +611,7 @@ let seed_value (res : resolved) lo : Rvalue.rv =
 (* Resolve every seeding plan against the live frame. None (decline to
    serial) if any value the plans need is not what the plans assumed. *)
 let resolve_seeds m (entry : Machine.loop_entry) (el : elig) :
-    ((int * resolved) list * (int * int * Scev.Recurrence.kind * int64) list)
-    option =
+    ((int * resolved) list * red_acc list) option =
   let eval v =
     Machine.eval_operand m ~regs:entry.Machine.le_regs
       ~args:entry.Machine.le_args v
@@ -633,13 +634,18 @@ let resolve_seeds m (entry : Machine.loop_entry) (el : elig) :
           | Pred_ k -> (phi, Rident k))
         el.el_phis
     in
-    let raccs =
+    let reds =
       List.map
         (fun (phi, latch, k, entryv) ->
-          (phi, latch, k, Rvalue.as_int (eval entryv)))
+          {
+            ra_phi = phi;
+            ra_latch = latch;
+            ra_kind = k;
+            ra_acc = Rvalue.as_int (eval entryv);
+          })
         el.el_reds
     in
-    Some (seeds, raccs)
+    Some (seeds, reds)
   with Rvalue.Runtime_error _ | Invalid_argument _ -> None
 
 (* Completed loop bodies this invocation will run, when computable at the
@@ -667,7 +673,7 @@ let dyn_bodies m (entry : Machine.loop_entry) (el : elig) : int64 option =
             | _ -> None
           with Rvalue.Runtime_error _ | Invalid_argument _ -> None))
 
-(* ---- the worker side of a shard task ---- *)
+(* ---- the shard report and its wire codec ---- *)
 
 type shard_report = {
   sr_status : string;  (* ok | trap | budget | error | overflow *)
@@ -683,133 +689,28 @@ type shard_report = {
   sr_rd : Conflict.ranges;
 }
 
-(* Runs in the forked worker. The machine image is a snapshot of exact
-   loop-entry state; prior-round parent-side writes are applied first
-   (and undone after), so later rounds see committed effects. The access
-   hooks log the shard's write set (with first-write undo snapshots) and
-   its exposed reads; after the range runs, final written values are
-   snapshotted and all memory and output mutations rolled back, leaving
-   the image clean for the worker's next task. *)
-let worker_task m (el : elig) (entry : Machine.loop_entry)
-    (seeds : (int * resolved) list) (pre_writes : (int, Rvalue.rv) Hashtbl.t)
-    ~max_writes (payload : Json.t) : Json.t =
-  let geti k =
-    match Option.bind (Json.member k payload) Json.to_int with
-    | Some v -> v
-    | None -> -1
+let report_to_json (r : shard_report) : Json.t =
+  let id_rvs l =
+    Json.List
+      (List.map (fun (id, v) -> Json.List [ Json.Int id; rv_to_json v ]) l)
   in
-  let lo = geti "lo" and n = geti "n" in
-  let max_iters = if n < 0 then max_int / 2 else n in
-  let undo = Hashtbl.create 64 in
-  let keep_old a =
-    if not (Hashtbl.mem undo a) then Hashtbl.add undo a (Machine.read_word m a)
-  in
-  Hashtbl.iter
-    (fun a v ->
-      keep_old a;
-      Machine.write_word m a v)
-    pre_writes;
-  let wset = Hashtbl.create 256 in
-  let rset = Hashtbl.create 256 in
-  let overflowed = ref false in
-  let hooks =
-    (* a provably store-free body needs no logging at all: nothing to
-       undo, nothing to ship, nothing that could conflict *)
-    if el.el_logfree then Interp.Events.no_hooks
-    else
-      {
-        Interp.Events.no_hooks with
-        Interp.Events.on_mem_access =
-          (fun ~addr ~is_write ~clock:_ ->
-            if is_write then begin
-              if not (Hashtbl.mem wset addr) then begin
-                keep_old addr;
-                Hashtbl.replace wset addr ();
-                (* abort the shard as soon as the cap is blown — running
-                   to completion only delays the inevitable rollback *)
-                if Hashtbl.length wset > max_writes then begin
-                  overflowed := true;
-                  raise
-                    (Rvalue.Runtime_error "parrun: shard write-set overflow")
-                end
-              end
-            end
-            else if not (Hashtbl.mem wset addr) then Hashtbl.replace rset addr ());
-      }
-  in
-  let c0 = Machine.clock m in
-  let a0 = Machine.mem_accesses m in
-  let o0 = Machine.output_length m in
-  Machine.set_hooks m hooks;
-  let regs = Array.copy entry.Machine.le_regs in
-  let seed = List.map (fun (phi, res) -> (phi, seed_value res lo)) seeds in
-  let status = ref "ok" and msg = ref "" in
-  let res =
-    try
-      Some
-        (Machine.run_loop_range m ~fname:entry.Machine.le_fname ~regs
-           ~args:entry.Machine.le_args ~header:el.el_header ~pred:el.el_pre
-           ~seed ~max_iters)
-    with
-    | Rvalue.Trap (k, tm) ->
-        status := "trap";
-        msg := Rvalue.trap_kind_to_string k ^ ": " ^ tm;
-        None
-    | Rvalue.Budget_stop k ->
-        status := "budget";
-        msg := Rvalue.budget_kind_to_string k;
-        None
-    | Rvalue.Runtime_error e ->
-        status := "error";
-        msg := e;
-        None
-  in
-  Machine.set_hooks m Interp.Events.no_hooks;
-  let clock_d = Machine.clock m - c0 in
-  let acc_d = Machine.mem_accesses m - a0 in
-  let out_d = Machine.output_since m o0 in
-  Machine.truncate_output m o0;
-  if !overflowed || (Hashtbl.length wset > max_writes && !status = "ok") then begin
-    status := "overflow";
-    msg := Printf.sprintf "%d distinct written words" (Hashtbl.length wset)
-  end;
-  let waddrs = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) wset []) in
-  let raddrs = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) rset []) in
-  let writes =
-    if !status = "ok" then List.map (fun a -> (a, Machine.read_word m a)) waddrs
-    else []
-  in
-  Hashtbl.iter (fun a v -> Machine.write_word m a v) undo;
-  let iters, exit_ =
-    match res with
-    | Some rr -> (rr.Machine.rr_iters, rr.Machine.rr_exit)
-    | None -> (0, None)
+  let exit_field f =
+    Json.Int (match r.sr_exit with Some e -> f e | None -> -1)
   in
   Json.Obj
     [
-      ("status", Json.String !status);
-      ("msg", Json.String !msg);
-      ("iters", Json.Int iters);
-      ("exit_pred", Json.Int (match exit_ with Some (p, _) -> p | None -> -1));
-      ( "exit_target",
-        Json.Int (match exit_ with Some (_, tg) -> tg | None -> -1) );
-      ("clock", Json.Int clock_d);
-      ("accesses", Json.Int acc_d);
-      ("output", Json.String out_d);
-      ( "regs",
-        Json.List
-          (if !status = "ok" then
-             Array.to_list el.el_dump
-             |> List.map (fun id ->
-                    Json.List [ Json.Int id; rv_to_json regs.(id) ])
-           else []) );
-      ( "writes",
-        Json.List
-          (List.map
-             (fun (a, v) -> Json.List [ Json.Int a; rv_to_json v ])
-             writes) );
-      ("wr", ranges_to_json (Conflict.of_sorted_addrs waddrs));
-      ("rd", ranges_to_json (Conflict.of_sorted_addrs raddrs));
+      ("status", Json.String r.sr_status);
+      ("msg", Json.String r.sr_msg);
+      ("iters", Json.Int r.sr_iters);
+      ("exit_pred", exit_field fst);
+      ("exit_target", exit_field snd);
+      ("clock", Json.Int r.sr_clock);
+      ("accesses", Json.Int r.sr_accesses);
+      ("output", Json.String r.sr_output);
+      ("regs", id_rvs r.sr_regs);
+      ("writes", id_rvs r.sr_writes);
+      ("wr", ranges_to_json r.sr_wr);
+      ("rd", ranges_to_json r.sr_rd);
     ]
 
 let parse_report (j : Json.t) : shard_report option =
@@ -869,6 +770,114 @@ let parse_report (j : Json.t) : shard_report option =
         }
   | _ -> None
 
+(* ---- the worker side of a shard task ---- *)
+
+(* Runs in the forked worker. The machine image is a snapshot of exact
+   loop-entry state; prior-round parent-side writes are applied first
+   (and undone after), so later rounds see committed effects. The access
+   hooks log the shard's write set (with first-write undo snapshots) and
+   its exposed reads; after the range runs, final written values are
+   snapshotted and all memory and output mutations rolled back, leaving
+   the image clean for the worker's next task. *)
+let worker_task m (el : elig) (entry : Machine.loop_entry)
+    (seeds : (int * resolved) list) (pre_writes : (int, Rvalue.rv) Hashtbl.t)
+    (payload : Json.t) : Json.t =
+  let geti k =
+    Option.value ~default:(-1) (Option.bind (Json.member k payload) Json.to_int)
+  in
+  let lo = geti "lo" and n = geti "n" in
+  let max_iters = if n < 0 then max_int / 2 else n in
+  let undo = Hashtbl.create 64 in
+  let keep_old a =
+    if not (Hashtbl.mem undo a) then Hashtbl.add undo a (Machine.read_word m a)
+  in
+  Hashtbl.iter
+    (fun a v ->
+      keep_old a;
+      Machine.write_word m a v)
+    pre_writes;
+  let wset = Hashtbl.create 256 in
+  let rset = Hashtbl.create 256 in
+  let overflowed = ref false in
+  let hooks =
+    (* a provably store-free body needs no logging at all: nothing to
+       undo, nothing to ship, nothing that could conflict *)
+    if el.el_logfree then Interp.Events.no_hooks
+    else
+      {
+        Interp.Events.no_hooks with
+        Interp.Events.on_mem_access =
+          (fun ~addr ~is_write ~clock:_ ->
+            if is_write then begin
+              if not (Hashtbl.mem wset addr) then begin
+                keep_old addr;
+                Hashtbl.replace wset addr ();
+                (* abort the shard as soon as the cap is blown — running
+                   to completion only delays the inevitable rollback *)
+                if Hashtbl.length wset > max_shard_writes then begin
+                  overflowed := true;
+                  raise
+                    (Rvalue.Runtime_error "parrun: shard write-set overflow")
+                end
+              end
+            end
+            else if not (Hashtbl.mem wset addr) then Hashtbl.replace rset addr ());
+      }
+  in
+  let c0 = Machine.clock m in
+  let a0 = Machine.mem_accesses m in
+  let o0 = Machine.output_length m in
+  Machine.set_hooks m hooks;
+  let regs = Array.copy entry.Machine.le_regs in
+  let seed = List.map (fun (phi, res) -> (phi, seed_value res lo)) seeds in
+  let res, status, msg =
+    match
+      Machine.run_loop_range m ~fname:entry.Machine.le_fname ~regs
+        ~args:entry.Machine.le_args ~header:el.el_header ~pred:el.el_pre ~seed
+        ~max_iters
+    with
+    | rr -> (Some rr, "ok", "")
+    | exception Rvalue.Trap (k, tm) ->
+        (None, "trap", Rvalue.trap_kind_to_string k ^ ": " ^ tm)
+    | exception Rvalue.Budget_stop k ->
+        (None, "budget", Rvalue.budget_kind_to_string k)
+    | exception Rvalue.Runtime_error e -> (None, "error", e)
+  in
+  Machine.set_hooks m Interp.Events.no_hooks;
+  let clock_d = Machine.clock m - c0 in
+  let acc_d = Machine.mem_accesses m - a0 in
+  let out_d = Machine.output_since m o0 in
+  Machine.truncate_output m o0;
+  let status, msg =
+    if !overflowed || (Hashtbl.length wset > max_shard_writes && status = "ok")
+    then
+      ("overflow", Printf.sprintf "%d distinct written words" (Hashtbl.length wset))
+    else (status, msg)
+  in
+  let ok = status = "ok" in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) tbl []) in
+  let waddrs = sorted wset in
+  let writes =
+    if ok then List.map (fun a -> (a, Machine.read_word m a)) waddrs else []
+  in
+  Hashtbl.iter (fun a v -> Machine.write_word m a v) undo;
+  report_to_json
+    {
+      sr_status = status;
+      sr_msg = msg;
+      sr_iters = (match res with Some rr -> rr.Machine.rr_iters | None -> 0);
+      sr_exit = Option.bind res (fun rr -> rr.Machine.rr_exit);
+      sr_clock = clock_d;
+      sr_accesses = acc_d;
+      sr_output = out_d;
+      sr_regs =
+        (if ok then List.map (fun id -> (id, regs.(id))) (Array.to_list el.el_dump)
+         else []);
+      sr_writes = writes;
+      sr_wr = Conflict.of_sorted_addrs waddrs;
+      sr_rd = Conflict.of_sorted_addrs (sorted rset);
+    }
+
 (* ---- conflict bookkeeping ---- *)
 
 let emit_bundle t (el : elig) msg : string option =
@@ -910,304 +919,289 @@ let handle_conflict t (st : loop_stats) (el : elig) (c : Conflict.conflict) =
     @ [
         {
           cf_fingerprint = el.el_fp;
-          cf_fname = el.el_fname;
-          cf_lid = el.el_lid;
-          cf_header = el.el_header;
           cf_message = msg;
           cf_bundle = bundle;
         };
       ]
 
-(* ---- the sharded invocation ---- *)
+(* ---- the sharded invocation ----
+
+   Stages, each over one invocation record: [rounds] plans the shard
+   windows, and every round goes [dispatch] -> [live_limit] -> [judge] ->
+   [absorb]. [shard_invocation] ends in one commit path and one rollback
+   path. *)
+
+(* What every round of one invocation needs, plus the effects of the
+   rounds absorbed so far, buffered in the parent until the commit. *)
+type inv = {
+  iv_t : t;
+  iv_m : Machine.t;
+  iv_st : loop_stats;
+  iv_el : elig;
+  iv_entry : Machine.loop_entry;
+  iv_seeds : (int * resolved) list;
+  iv_reds : red_acc list;
+  iv_fuel_left : int;
+  iv_writes : (int, Rvalue.rv) Hashtbl.t;
+  iv_out : Buffer.t;
+  mutable iv_clock : int;
+  mutable iv_accesses : int;
+  mutable iv_bodies : int;
+}
 
 type round_verdict =
   | Rcommit of int * int * (int * Rvalue.rv) list
       (* exit pred, exit target, final regs *)
   | Rcontinue
   | Rconflict of Conflict.conflict
-  | Rfail of string
+  | Rfail
 
-let shard_invocation t m (st : loop_stats) (el : elig)
-    (entry : Machine.loop_entry) seeds raccs (bodies : int option) :
-    Machine.loop_commit option =
-  st.st_sharded <- st.st_sharded + 1;
-  Obs.Telemetry.add t.c_sharded 1;
-  let fuel_left = Machine.fuel m - Machine.clock m in
-  let s = t.knobs.jobs in
-  (* invocation-scoped accumulators: effects of absorbed rounds *)
-  let acc_writes : (int, Rvalue.rv) Hashtbl.t = Hashtbl.create 256 in
-  let acc_out = Buffer.create 256 in
-  let acc_clock = ref 0 in
-  let acc_acc = ref 0 in
-  let total_bodies = ref 0 in
-  let base = ref 0 in
-  let raccs =
-    List.map (fun (phi, latch, k, a0) -> (phi, latch, k, ref a0)) raccs
+(* One pool worker per (lo, n) shard window; n < 0 is unbounded. Lost,
+   timed-out and undecodable shards come back as None. *)
+let dispatch (iv : inv) (tasks : (int * int) array) : shard_report option array
+    =
+  let t = iv.iv_t and m = iv.iv_m in
+  let seq = t.dispatches in
+  t.dispatches <- t.dispatches + 1;
+  iv.iv_st.st_rounds <- iv.iv_st.st_rounds + 1;
+  Obs.Telemetry.add t.c_rounds 1;
+  let nshards = Array.length tasks in
+  Obs.Telemetry.add t.c_shards nshards;
+  let chaos =
+    Option.map
+      (fun plan ->
+        Exec.Chaos.explicit
+          (List.filter_map
+             (fun sh ->
+               Option.map
+                 (fun f -> (sh, f))
+                 (Exec.Chaos.shard_fault plan ~invocation:seq ~shard:sh))
+             (List.init nshards Fun.id)))
+      t.knobs.chaos
   in
   let deadline =
     match t.knobs.watchdog_s with
     | Some _ as d -> d
     | None -> if t.knobs.chaos <> None then Some 5.0 else None
   in
-  let run_round (tasks : (int * int) array) : round_verdict =
-    let seq = t.dispatches in
-    t.dispatches <- t.dispatches + 1;
-    st.st_rounds <- st.st_rounds + 1;
-    Obs.Telemetry.add t.c_rounds 1;
-    let nshards = Array.length tasks in
-    st.st_shards <- st.st_shards + nshards;
-    Obs.Telemetry.add t.c_shards nshards;
-    let chaos =
-      Option.map
-        (fun plan ->
-          Exec.Chaos.explicit
-            (List.filter_map
-               (fun sh ->
-                 Option.map
-                   (fun f -> (sh, f))
-                   (Exec.Chaos.shard_fault plan ~invocation:seq ~shard:sh))
-               (List.init nshards Fun.id)))
-        t.knobs.chaos
-    in
-    let payloads =
-      Array.mapi
-        (fun i (lo, n) ->
-          Json.Obj
-            [ ("shard", Json.Int i); ("lo", Json.Int lo); ("n", Json.Int n) ])
-        tasks
-    in
-    let work =
-      worker_task m el entry seeds acc_writes
-        ~max_writes:t.knobs.max_shard_writes
-    in
-    let outs, _pstats =
-      Exec.Pool.run ~jobs:nshards ~max_chunk:1
-        ~worker_init:(fun () ->
-          Machine.set_delegate m None;
-          (* Shard workers are short-lived and share the parent image
-             copy-on-write: every major-GC mark writes into block headers
-             across the inherited heap, forcing the kernel to copy it page
-             by page. Trade memory for pages: a big minor heap and a lazy
-             major make a worker's GC touch as little of the snapshot as
-             possible. *)
-          Gc.set
-            {
-              (Gc.get ()) with
-              Gc.minor_heap_size = 8 * 1024 * 1024;
-              space_overhead = 800;
-            })
-        ?task_deadline_s:deadline ?chaos ~work payloads
-    in
-    let reports =
-      Array.map
-        (function
-          | Some (Exec.Pool.Done j) -> parse_report j
-          | Some (Exec.Pool.Lost _) | Some (Exec.Pool.Timed_out _) | None ->
-              None)
-        outs
-    in
-    (* Shards past the first exiting / failing shard ran iterations the
-       serial execution never reaches: they are discarded unconditionally
-       and their accesses are not conflict evidence. *)
-    let limit = ref (nshards - 1) in
-    for sh = nshards - 1 downto 0 do
-      match reports.(sh) with
-      | None -> limit := sh
-      | Some r -> if r.sr_status <> "ok" || r.sr_exit <> None then limit := sh
-    done;
-    for sh = 0 to !limit do
-      match reports.(sh) with
-      | None -> st.st_shard_failures <- st.st_shard_failures + 1
-      | Some r ->
-          if r.sr_status <> "ok" then
-            st.st_shard_failures <- st.st_shard_failures + 1
-    done;
-    let live = !limit + 1 in
-    let writes =
-      Array.init nshards (fun i ->
-          if i <= !limit then
-            match reports.(i) with Some r -> r.sr_wr | None -> []
-          else [])
-    in
-    let reads =
-      Array.init nshards (fun i ->
-          if i <= !limit then
-            match reports.(i) with Some r -> r.sr_rd | None -> []
-          else [])
-    in
-    match Conflict.detect ~writes ~reads ~n:live with
-    | Some c -> Rconflict c
-    | None -> (
-        (* commit validity over shards 0..limit *)
-        let fail = ref None in
-        for sh = 0 to !limit do
-          if !fail = None then
-            match reports.(sh) with
-            | None -> fail := Some (Printf.sprintf "shard %d lost or timed out" sh)
-            | Some r ->
-                if r.sr_status <> "ok" then
-                  fail :=
-                    Some
-                      (Printf.sprintf "shard %d %s: %s" sh r.sr_status r.sr_msg)
-                else if sh < !limit || r.sr_exit = None then begin
-                  let _, n = tasks.(sh) in
-                  if n < 0 then
-                    fail :=
-                      Some (Printf.sprintf "unbounded shard %d did not exit" sh)
-                  else if r.sr_iters <> n then
-                    fail :=
-                      Some
-                        (Printf.sprintf "shard %d ran %d of %d bodies" sh
-                           r.sr_iters n)
-                end
-        done;
-        match !fail with
-        | Some reason -> Rfail reason
-        | None -> (
-            let absorb_effects (r : shard_report) =
-              Buffer.add_string acc_out r.sr_output;
-              acc_clock := !acc_clock + r.sr_clock;
-              acc_acc := !acc_acc + r.sr_accesses;
-              List.iter
-                (fun (a, v) -> Hashtbl.replace acc_writes a v)
-                r.sr_writes
-            in
-            let absorb_full (r : shard_report) =
-              absorb_effects r;
-              total_bodies := !total_bodies + r.sr_iters;
-              List.iter
-                (fun (_, latch, k, acc) ->
-                  match List.assoc_opt latch r.sr_regs with
-                  | Some v -> acc := red_combine k !acc (Rvalue.as_int v)
-                  | None -> raise (Rvalue.Runtime_error "latch missing from dump"))
-                raccs
-            in
-            let get sh =
-              match reports.(sh) with Some r -> r | None -> assert false
-            in
-            match (get !limit).sr_exit with
-            | None ->
-                (* every shard full and clean: absorb the round, keep going *)
-                for sh = 0 to !limit do
-                  absorb_full (get sh)
-                done;
-                Rcontinue
-            | Some (ep, et) ->
-                for sh = 0 to !limit - 1 do
-                  absorb_full (get sh)
-                done;
-                let rk = get !limit in
-                (* Reduction exit values: fold the accumulated prefix into
-                   the exit shard's identity-seeded partials. A zero-body
-                   exit shard never ran the latch tip (chain work is barred
-                   from the header), so its latch dump is the stale
-                   preheader copy: the serial value there is the full
-                   accumulation — or the stale copy itself when the loop
-                   ran no bodies at all. *)
-                let overrides =
-                  List.concat_map
-                    (fun (phi, latch, k, acc) ->
-                      let pv =
-                        match List.assoc_opt phi rk.sr_regs with
-                        | Some v -> red_combine k !acc (Rvalue.as_int v)
-                        | None ->
-                            raise (Rvalue.Runtime_error "phi missing from dump")
-                      in
-                      let lv =
-                        if rk.sr_iters > 0 then
-                          match List.assoc_opt latch rk.sr_regs with
-                          | Some v -> Some (red_combine k !acc (Rvalue.as_int v))
-                          | None ->
-                              raise
-                                (Rvalue.Runtime_error "latch missing from dump")
-                        else if !total_bodies > 0 then Some !acc
-                        else None
-                      in
-                      (phi, Rvalue.Vint pv)
-                      ::
-                      (match lv with
-                      | Some l -> [ (latch, Rvalue.Vint l) ]
-                      | None -> []))
-                    raccs
-                in
-                let final_regs =
-                  List.map
-                    (fun (id, v) ->
-                      match List.assoc_opt id overrides with
-                      | Some o -> (id, o)
-                      | None -> (id, v))
-                    rk.sr_regs
-                in
-                absorb_effects rk;
-                total_bodies := !total_bodies + rk.sr_iters;
-                Rcommit (ep, et, final_regs)))
+  let payloads =
+    Array.mapi
+      (fun i (lo, n) ->
+        Json.Obj [ ("shard", Json.Int i); ("lo", Json.Int lo); ("n", Json.Int n) ])
+      tasks
   in
-  let result =
-    match bodies with
-    | Some n ->
-        (* known trip: one balanced round; the last shard is unbounded so
-           it absorbs the exit arrival (and any estimate slack) *)
-        let per = max 1 ((n + s - 1) / s) in
-        let nb = max 1 ((n + per - 1) / per) in
-        let tasks =
-          Array.init nb (fun i ->
-              let lo = i * per in
-              if i = nb - 1 then (lo, -1) else (lo, per))
-        in
-        run_round tasks
-    | None ->
-        (* unknown trip: geometric rounds until a shard exits *)
-        let rec go round chunk =
-          if round >= t.knobs.max_rounds then
-            Rfail "round budget exhausted before the loop exited"
-          else if !acc_clock >= fuel_left then Rfail "fuel exhausted mid-loop"
-          else
-            let tasks = Array.init s (fun i -> (!base + (i * chunk), chunk)) in
-            match run_round tasks with
-            | Rcontinue ->
-                base := !base + (s * chunk);
-                go (round + 1) (min (chunk * 4) 1_000_000)
-            | verdict -> verdict
-        in
-        go 0 t.knobs.round_chunk
+  let work = worker_task m iv.iv_el iv.iv_entry iv.iv_seeds iv.iv_writes in
+  let outs, _pstats =
+    Exec.Pool.run ~jobs:nshards ~max_chunk:1
+      ~worker_init:(fun () ->
+        Machine.set_delegate m None;
+        (* Shard workers are short-lived and share the parent image
+           copy-on-write: every major-GC mark writes into block headers
+           across the inherited heap, forcing the kernel to copy it page
+           by page. Trade memory for pages: a big minor heap and a lazy
+           major make a worker's GC touch as little of the snapshot as
+           possible. *)
+        Gc.set
+          {
+            (Gc.get ()) with
+            Gc.minor_heap_size = 8 * 1024 * 1024;
+            space_overhead = 800;
+          })
+      ?task_deadline_s:deadline ?chaos ~work payloads
   in
-  (* unknown-trip loops that turn out tiny are not worth forking again *)
-  if bodies = None && !total_bodies < t.knobs.min_trip then
-    Hashtbl.replace t.small_memo (el.el_fname, el.el_lid) ();
-  match result with
-  | Rcommit (ep, et, final_regs) when !acc_clock <= fuel_left ->
+  Array.map
+    (function Some (Exec.Pool.Done j) -> parse_report j | _ -> None)
+    outs
+
+(* The last live shard. Shards past the first exiting or failing shard
+   ran iterations the serial execution never reaches: they are discarded
+   unconditionally and their accesses are not conflict evidence. *)
+let live_limit (reports : shard_report option array) =
+  let last = Array.length reports - 1 in
+  let rec go sh =
+    match reports.(sh) with
+    | Some r when sh < last && r.sr_status = "ok" && r.sr_exit = None ->
+        go (sh + 1)
+    | _ -> sh
+  in
+  go 0
+
+(* Judge the live shards: None when the round is clean — no cross-shard
+   conflict, every shard reported ok, and every shard but an exiting last
+   one ran exactly its window. *)
+let judge (iv : inv) tasks (live : shard_report option array) :
+    round_verdict option =
+  let limit = Array.length live - 1 in
+  let st = iv.iv_st in
+  Array.iter
+    (function
+      | Some r when r.sr_status = "ok" -> ()
+      | _ -> st.st_shard_failures <- st.st_shard_failures + 1)
+    live;
+  let ranges f = Array.map (function Some r -> f r | None -> []) live in
+  match
+    Conflict.detect
+      ~writes:(ranges (fun r -> r.sr_wr))
+      ~reads:(ranges (fun r -> r.sr_rd))
+      ~n:(limit + 1)
+  with
+  | Some c -> Some (Rconflict c)
+  | None ->
+      let valid sh = function
+        | None -> false
+        | Some r ->
+            let n = snd tasks.(sh) in
+            r.sr_status = "ok"
+            && ((sh = limit && r.sr_exit <> None) || (n >= 0 && r.sr_iters = n))
+      in
+      if Array.for_all Fun.id (Array.mapi valid live) then None else Some Rfail
+
+let dumped (r : shard_report) id what =
+  match List.assoc_opt id r.sr_regs with
+  | Some v -> Rvalue.as_int v
+  | None -> raise (Rvalue.Runtime_error (what ^ " missing from dump"))
+
+let absorb_effects (iv : inv) (r : shard_report) =
+  Buffer.add_string iv.iv_out r.sr_output;
+  iv.iv_clock <- iv.iv_clock + r.sr_clock;
+  iv.iv_accesses <- iv.iv_accesses + r.sr_accesses;
+  List.iter (fun (a, v) -> Hashtbl.replace iv.iv_writes a v) r.sr_writes;
+  iv.iv_bodies <- iv.iv_bodies + r.sr_iters
+
+let absorb_full (iv : inv) (r : shard_report) =
+  absorb_effects iv r;
+  List.iter
+    (fun ra ->
+      ra.ra_acc <- red_combine ra.ra_kind ra.ra_acc (dumped r ra.ra_latch "latch"))
+    iv.iv_reds
+
+(* Reduction exit values: fold the accumulated prefix into the exit
+   shard's identity-seeded partials. A zero-body exit shard never ran the
+   latch tip (chain work is barred from the header), so its latch dump is
+   the stale preheader copy: the serial value there is the full
+   accumulation — or the stale copy itself when the loop ran no bodies at
+   all. *)
+let exit_regs (iv : inv) (rk : shard_report) =
+  let overrides =
+    List.concat_map
+      (fun ra ->
+        let fold v = Rvalue.Vint (red_combine ra.ra_kind ra.ra_acc v) in
+        let phi = (ra.ra_phi, fold (dumped rk ra.ra_phi "phi")) in
+        if rk.sr_iters > 0 then
+          [ phi; (ra.ra_latch, fold (dumped rk ra.ra_latch "latch")) ]
+        else if iv.iv_bodies > 0 then [ phi; (ra.ra_latch, Rvalue.Vint ra.ra_acc) ]
+        else [ phi ])
+      iv.iv_reds
+  in
+  List.map
+    (fun (id, v) -> (id, Option.value ~default:v (List.assoc_opt id overrides)))
+    rk.sr_regs
+
+(* Absorb a clean round: with no exit in it every shard ran its full
+   window and the invocation goes on; otherwise the exit shard closes it. *)
+let absorb (iv : inv) (live : shard_report array) : round_verdict =
+  let last = Array.length live - 1 in
+  let rk = live.(last) in
+  match rk.sr_exit with
+  | None ->
+      Array.iter (absorb_full iv) live;
+      Rcontinue
+  | Some (ep, et) ->
+      Array.iter (absorb_full iv) (Array.sub live 0 last);
+      let regs = exit_regs iv rk in
+      absorb_effects iv rk;
+      Rcommit (ep, et, regs)
+
+let round (iv : inv) tasks =
+  let reports = dispatch iv tasks in
+  let live = Array.sub reports 0 (live_limit reports + 1) in
+  match judge iv tasks live with
+  | Some verdict -> verdict
+  | None -> absorb iv (Array.map Option.get live)
+
+(* A known trip runs one balanced round whose last shard is unbounded, so
+   it absorbs the exit arrival (and any estimate slack). An unknown trip
+   runs geometric rounds until a shard exits. *)
+let rounds (iv : inv) (bodies : int option) =
+  let s = iv.iv_t.knobs.jobs in
+  match bodies with
+  | Some n ->
+      let per = max 1 ((n + s - 1) / s) in
+      let nb = max 1 ((n + per - 1) / per) in
+      round iv (Array.init nb (fun i -> (i * per, if i = nb - 1 then -1 else per)))
+  | None ->
+      let rec go k base chunk =
+        if k >= max_rounds || iv.iv_clock >= iv.iv_fuel_left then Rfail
+        else
+          match round iv (Array.init s (fun i -> (base + (i * chunk), chunk))) with
+          | Rcontinue -> go (k + 1) (base + (s * chunk)) (min (chunk * 4) 1_000_000)
+          | verdict -> verdict
+      in
+      go 0 0 iv.iv_t.knobs.round_chunk
+
+let loop_commit (iv : inv) (ep, et, regs) : Machine.loop_commit =
+  {
+    Machine.lc_exit_pred = ep;
+    lc_exit_target = et;
+    lc_clock = iv.iv_clock;
+    lc_accesses = iv.iv_accesses;
+    lc_regs = regs;
+    lc_writes =
+      Hashtbl.fold (fun a v acc -> (a, v) :: acc) iv.iv_writes []
+      |> List.sort (fun (a, _) (b, _) -> compare a b);
+    lc_output = Buffer.contents iv.iv_out;
+  }
+
+let shard_invocation t m (st : loop_stats) (el : elig)
+    (entry : Machine.loop_entry) seeds reds (bodies : int option) :
+    Machine.loop_commit option =
+  st.st_sharded <- st.st_sharded + 1;
+  Obs.Telemetry.add t.c_sharded 1;
+  let iv =
+    {
+      iv_t = t;
+      iv_m = m;
+      iv_st = st;
+      iv_el = el;
+      iv_entry = entry;
+      iv_seeds = seeds;
+      iv_reds = reds;
+      iv_fuel_left = Machine.fuel m - Machine.clock m;
+      iv_writes = Hashtbl.create 256;
+      iv_out = Buffer.create 256;
+      iv_clock = 0;
+      iv_accesses = 0;
+      iv_bodies = 0;
+    }
+  in
+  let commit =
+    try
+      let verdict = rounds iv bodies in
+      (* unknown-trip loops that turn out tiny are not worth forking again *)
+      if bodies = None && iv.iv_bodies < t.knobs.min_trip then
+        Hashtbl.replace t.small_memo (el.el_fname, el.el_lid) ();
+      match verdict with
+      | Rcommit (ep, et, regs) when iv.iv_clock <= iv.iv_fuel_left ->
+          Some (ep, et, regs)
+      | Rconflict c ->
+          handle_conflict t st el c;
+          None
+      (* a commit past the fuel budget rolls back too: the serial run
+         truncates mid-loop, which only serial execution can reproduce *)
+      | Rcommit _ | Rcontinue | Rfail -> None
+    with
+    | Rvalue.Runtime_error _ | Failure _ | Not_found | Invalid_argument _
+    | Unix.Unix_error _
+    ->
+      (* parent-side misbehavior is never fatal: fall back *)
+      None
+  in
+  match commit with
+  | Some c ->
       st.st_committed <- st.st_committed + 1;
       Obs.Telemetry.add t.c_committed 1;
-      let writes =
-        Hashtbl.fold (fun a v acc -> (a, v) :: acc) acc_writes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Some
-        {
-          Machine.lc_exit_pred = ep;
-          lc_exit_target = et;
-          lc_clock = !acc_clock;
-          lc_accesses = !acc_acc;
-          lc_regs = final_regs;
-          lc_writes = writes;
-          lc_output = Buffer.contents acc_out;
-        }
-  | Rcommit _ ->
-      (* the committed lump would blow the fuel budget: the serial run
-         truncates mid-loop, which only serial execution can reproduce *)
-      st.st_rollbacks <- st.st_rollbacks + 1;
-      Obs.Telemetry.add t.c_rollbacks 1;
-      None
-  | Rcontinue ->
-      st.st_rollbacks <- st.st_rollbacks + 1;
-      Obs.Telemetry.add t.c_rollbacks 1;
-      None
-  | Rconflict c ->
-      handle_conflict t st el c;
-      st.st_rollbacks <- st.st_rollbacks + 1;
-      Obs.Telemetry.add t.c_rollbacks 1;
-      None
-  | Rfail _reason ->
+      Some (loop_commit iv c)
+  | None ->
       st.st_rollbacks <- st.st_rollbacks + 1;
       Obs.Telemetry.add t.c_rollbacks 1;
       None
@@ -1215,47 +1209,36 @@ let shard_invocation t m (st : loop_stats) (el : elig)
 let delegate t m (entry : Machine.loop_entry) : Machine.loop_commit option =
   match Hashtbl.find_opt t.elig (entry.Machine.le_fname, entry.Machine.le_lid) with
   | None -> None
-  | Some el -> (
+  | Some el ->
       let st = stats_for t el in
       st.st_invocations <- st.st_invocations + 1;
       Obs.Telemetry.add t.c_invocations 1;
-      let decline () =
-        st.st_declined <- st.st_declined + 1;
-        None
-      in
-      if t.knobs.jobs < 2 then decline ()
-      else if Quarantine.mem t.quar el.el_fp then decline ()
-      else if entry.Machine.le_pred <> el.el_pre then decline ()
-      else if Hashtbl.mem t.small_memo (el.el_fname, el.el_lid) then decline ()
+      if
+        t.knobs.jobs < 2
+        || Quarantine.mem t.quar el.el_fp
+        || entry.Machine.le_pred <> el.el_pre
+        || Hashtbl.mem t.small_memo (el.el_fname, el.el_lid)
+      then None
       else
         let t0 = Unix.gettimeofday () in
-        let finish r =
-          st.st_par_wall <- st.st_par_wall +. (Unix.gettimeofday () -. t0);
-          r
-        in
-        match resolve_seeds m entry el with
-        | None -> finish (decline ())
-        | Some (seeds, raccs) -> (
-            let fuel_left = Machine.fuel m - Machine.clock m in
-            match dyn_bodies m entry el with
-            | Some n
-              when Int64.compare n (Int64.of_int t.knobs.min_trip) < 0 ->
-                finish (decline ())
-            | Some n when Int64.compare n (Int64.of_int fuel_left) >= 0 ->
-                (* the loop cannot finish within fuel; only serial
-                   execution reproduces the truncation *)
-                finish (decline ())
-            | bodies -> (
-                let bodies = Option.map Int64.to_int bodies in
-                try finish (shard_invocation t m st el entry seeds raccs bodies)
-                with
-                | Rvalue.Runtime_error _ | Failure _ | Not_found
-                | Invalid_argument _
-                | Unix.Unix_error _
+        let fuel_left = Machine.fuel m - Machine.clock m in
+        let r =
+          match resolve_seeds m entry el with
+          | None -> None
+          | Some (seeds, reds) -> (
+              match dyn_bodies m entry el with
+              | Some n when Int64.compare n (Int64.of_int t.knobs.min_trip) < 0
                 ->
-                  (* parent-side misbehavior is never fatal: fall back *)
-                  st.st_rollbacks <- st.st_rollbacks + 1;
-                  Obs.Telemetry.add t.c_rollbacks 1;
-                  finish None)))
+                  None
+              | Some n when Int64.compare n (Int64.of_int fuel_left) >= 0 ->
+                  (* the loop cannot finish within fuel; only serial
+                     execution reproduces the truncation *)
+                  None
+              | bodies ->
+                  shard_invocation t m st el entry seeds reds
+                    (Option.map Int64.to_int bodies))
+        in
+        st.st_par_wall <- st.st_par_wall +. (Unix.gettimeofday () -. t0);
+        r
 
 let install t m = Machine.set_delegate m (Some (delegate t))

@@ -32,10 +32,6 @@ type knobs = {
   round_chunk : int;
       (** per-shard bodies in the first round when the trip is unknown;
           subsequent rounds grow geometrically *)
-  max_rounds : int;  (** unknown-trip rounds before giving up (rollback) *)
-  max_shard_writes : int;
-      (** per-shard distinct-written-words cap; beyond it the shard
-          reports overflow and the invocation rolls back *)
   watchdog_s : float option;
       (** per-shard wall deadline, handed to [Exec.Pool] as
           [task_deadline_s]; a stalled shard times out and rolls back *)
@@ -49,11 +45,7 @@ val default_knobs : knobs
 type loop_stats = {
   st_fname : string;
   st_lid : int;
-  st_header : int;
   mutable st_invocations : int;  (** fresh entries offered to the delegate *)
-  mutable st_declined : int;
-      (** entries run serially without forking (small trip, non-integer
-          entry state, quarantined, ...) *)
   mutable st_sharded : int;  (** invocations dispatched to the pool *)
   mutable st_committed : int;
   mutable st_rollbacks : int;  (** sharded invocations re-run serially *)
@@ -61,7 +53,6 @@ type loop_stats = {
   mutable st_shard_failures : int;
       (** lost / timed-out / trapped / overflowed shards observed *)
   mutable st_rounds : int;
-  mutable st_shards : int;  (** shard tasks dispatched *)
   mutable st_par_wall : float;
       (** wall seconds spent inside the delegate (sharding attempts,
           successful or not) *)
@@ -71,9 +62,6 @@ type loop_stats = {
     landed. *)
 type conflict_record = {
   cf_fingerprint : string;
-  cf_fname : string;
-  cf_lid : int;
-  cf_header : int;
   cf_message : string;
   cf_bundle : string option;
 }
@@ -97,7 +85,6 @@ val create :
     (unpruned) watch plans. *)
 val install : t -> Interp.Machine.t -> unit
 
-val knobs : t -> knobs
 val quarantine : t -> Quarantine.t
 
 (** Conflicts detected so far, in detection order. *)

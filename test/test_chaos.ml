@@ -327,7 +327,6 @@ let test_shard_seeded_deterministic () =
 let test_shard_faults_roll_back_to_serial () =
   let knobs =
     {
-      Parrun.Runner.default_knobs with
       Parrun.Runner.jobs = 2;
       min_trip = 1;
       round_chunk = 8;

@@ -330,6 +330,90 @@ let test_forced_unsound_verdict_quarantines () =
     again.Machine.output;
   Alcotest.(check bool) "no new conflicts" true (Runner.conflicts runner2 = [])
 
+(* ---- unknown trip: geometric rounds ---- *)
+
+(* A load-only search loop whose data-dependent [&&] exit hides the trip
+   count, shaped like 164_gzip's match_len. The halves of [data] agree up
+   to word 150, so under [aggressive] knobs (two shards, chunk 8, x4 per
+   round: 16, 80, 336 bodies covered) the exit lies in the third round. *)
+let search_src =
+  {|
+fn match_len(data: int[], a: int, b: int, limit: int) -> int {
+  var len: int = 0;
+  while (len < limit && data[a + len] == data[b + len]) { len = len + 1; }
+  return len;
+}
+
+fn main() -> int {
+  var n: int = 300;
+  var data: int[] = new int[2 * n];
+  for (var i: int = 0; i < 2 * n; i = i + 1) { data[i] = (i % n) * 7 + 1; }
+  data[n + 150] = 0;
+  print_int(match_len(data, 0, n, n - 1));
+  return 0;
+}
+|}
+
+let search_stats (r : Guard.result) =
+  match
+    List.filter
+      (fun st -> st.Runner.st_fname = "match_len")
+      (Runner.loop_stats r.Guard.runner)
+  with
+  | [ st ] -> st
+  | _ -> Alcotest.fail "match_len loop is not eligible"
+
+let test_unknown_trip_rounds_commit () =
+  let r = run_guard ~target:"search" search_src in
+  Alcotest.(check bool) "byte-identical" true r.Guard.identical;
+  (match r.Guard.serial with
+  | Guard.Finished o ->
+      Alcotest.(check bool) "printed match length" true
+        (contains o.Machine.output "150")
+  | Guard.Trapped _ -> Alcotest.fail "serial pass trapped");
+  let st = search_stats r in
+  Alcotest.(check int) "one sharded invocation" 1 st.Runner.st_sharded;
+  Alcotest.(check int) "committed" 1 st.Runner.st_committed;
+  Alcotest.(check bool) "exit several rounds deep" true
+    (st.Runner.st_rounds > st.Runner.st_sharded)
+
+(* The same search with the fuel budget running out halfway through the
+   loop: only serial execution reproduces the truncation point, so the
+   invocation must roll back. *)
+let test_unknown_trip_fuel_rolls_back () =
+  let ms = compile_prepared search_src in
+  let enter = ref 0 and leave = ref 0 in
+  let hooks =
+    {
+      Interp.Events.no_hooks with
+      Interp.Events.on_call_enter =
+        (fun ~fname ~clock -> if fname = "match_len" then enter := clock);
+      on_call_exit =
+        (fun ~fname ~clock -> if fname = "match_len" then leave := clock);
+    }
+  in
+  ignore (Machine.run_main (Machine.create ~hooks ms.Loopa.Classify.modul));
+  Alcotest.(check bool) "search loop timed" true (!leave > !enter);
+  let fuel = (!enter + !leave) / 2 in
+  let r =
+    match
+      Guard.run ~knobs:(aggressive ()) ~fuel ~predict:false ~target:"search"
+        search_src
+    with
+    | Error f -> Alcotest.fail ("guard failed: " ^ f.Loopa.Driver.message)
+    | Ok r -> r
+  in
+  Alcotest.(check bool) "byte-identical" true r.Guard.identical;
+  (match r.Guard.serial with
+  | Guard.Finished o ->
+      Alcotest.(check bool) "truncated by fuel" true
+        (o.Machine.stop <> Machine.Completed)
+  | Guard.Trapped _ -> Alcotest.fail "serial pass trapped");
+  let st = search_stats r in
+  Alcotest.(check int) "one sharded invocation" 1 st.Runner.st_sharded;
+  Alcotest.(check int) "nothing committed" 0 st.Runner.st_committed;
+  Alcotest.(check int) "rolled back" 1 st.Runner.st_rollbacks
+
 (* ---- shard-fault chaos: every fault converges to the serial answer ---- *)
 
 let test_shard_faults_converge () =
@@ -385,6 +469,10 @@ let () =
             test_reduction_commits_not_conflicts;
           Alcotest.test_case "forward gather (anti-dep) commits" `Quick
             test_forward_gather_commits;
+          Alcotest.test_case "unknown trip commits rounds deep" `Quick
+            test_unknown_trip_rounds_commit;
+          Alcotest.test_case "unknown trip out of fuel rolls back" `Quick
+            test_unknown_trip_fuel_rolls_back;
           Alcotest.test_case "forced unsound verdict quarantined" `Quick
             test_forced_unsound_verdict_quarantines;
         ] );
