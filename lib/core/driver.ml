@@ -190,7 +190,9 @@ let profiling_machine ?(fuel = Config.default_fuel) ?mem_limit ?max_depth
       Hashtbl.replace watch_plans fname plan;
       Hashtbl.replace def_maps fname defs)
     ms.Classify.funcs;
-  let profiler = Profile.create ?make_predictor ~static_prune ms ~def_maps in
+  let profiler =
+    Profile.create ?make_predictor ~static_prune ~observe_ranges ?mem_limit ms ~def_maps
+  in
   (* the hotspot profiler tees the hooks (its shadow stack observes the
      same call/loop events the profiler consumes) and arms the machine's
      opcode counters and deterministic sampler *)
@@ -205,17 +207,6 @@ let profiling_machine ?(fuel = Config.default_fuel) ?mem_limit ?max_depth
   in
   Option.iter (fun h -> Prof.Hotspot.arm h machine) hotspot;
   (profiler, machine)
-
-let finish_profile (ms : Classify.module_static) (profiler : Profile.t)
-    (outcome : Interp.Machine.outcome) : Profile.profile =
-  {
-    Profile.ms;
-    invs = Ir.Vec.to_array profiler.Profile.invs;
-    phi_obs = profiler.Profile.phi_obs;
-    total_cost = outcome.Interp.Machine.clock;
-    outcome;
-    truncated = (outcome.Interp.Machine.stop <> Interp.Machine.Completed);
-  }
 
 let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
     ?make_predictor ?static_prune ?observe_ranges ?hotspot
@@ -234,7 +225,7 @@ let profile_module ?fuel ?mem_limit ?max_depth ?deadline ?faults
       record_run machine;
       if outcome.Interp.Machine.stop <> Interp.Machine.Completed then
         Obs.Telemetry.incr c_truncations;
-      finish_profile ms profiler outcome)
+      Profile.finish profiler outcome)
 
 (* As [profile_module], but every way the run can fail comes back as a
    classified {!failure} instead of an exception — with the machine clock at
@@ -259,7 +250,7 @@ let profile_result ?fuel ?mem_limit ?max_depth ?deadline ?faults
       record_run machine;
       if outcome.Interp.Machine.stop <> Interp.Machine.Completed then
         Obs.Telemetry.incr c_truncations;
-      Ok (finish_profile ms profiler outcome)
+      Ok (Profile.finish profiler outcome)
   | exception Interp.Rvalue.Trap (kind, msg) ->
       record_run machine;
       Obs.Telemetry.incr c_traps;

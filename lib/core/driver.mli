@@ -73,8 +73,9 @@ val prepare : ?optimize:bool -> Ir.Func.modul -> Classify.module_static
     stream — sound for evaluation, since such loops never record conflicts;
     pass false to collect the unpruned profile (what {!Crosscheck} validates
     against). [observe_ranges] (default false) makes EVERY header phi report
-    its per-arrival value so {!Crosscheck.check_ranges} can compare dynamic
-    values against the statically proven intervals. [hotspot] attaches a
+    its per-arrival value and the profile record each one's observed
+    envelope ([phi_obs], empty otherwise) so {!Crosscheck.check_ranges} can
+    compare dynamic values against the statically proven intervals. [hotspot] attaches a
     {!Prof.Hotspot} profiler: its shadow stack tees the event hooks, the
     machine's opcode counters and deterministic sampler are armed, and
     [Prof.Hotspot.finish] runs on every exit path (including traps). *)

@@ -96,21 +96,25 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
   let is_parallel = Array.make n false in
   let prog_savings = ref 0.0 and prog_covered = ref 0.0 in
   let prog_static = ref 0.0 in
-  let static_verdict_of (inv : Profile.inv) =
-    let fs = Classify.func_static p.Profile.ms inv.Profile.fname in
-    fs.Classify.loops.(inv.Profile.lid).Classify.dep.Deptest.Analysis.verdict
-  in
   for id = n - 1 downto 0 do
     let inv = p.Profile.invs.(id) in
-    let raw = Profile.iter_costs inv in
-    let ni = Array.length raw in
+    let raw = inv.Profile.costs in
     let raw_total = float_of_int (inv.Profile.end_clock - inv.Profile.start_clock) in
+    (* Without nested savings every iteration keeps its raw cost, so the
+       stall scale factors below are all exactly 1. *)
     let reduced =
       match child_savings.(id) with
-      | None -> Array.map float_of_int raw
-      | Some sav -> Array.init ni (fun k -> float_of_int raw.(k) -. sav.(k))
+      | None -> raw
+      | Some sav ->
+          let r = Array.make (Array.length raw) 0.0 in
+          for k = 0 to Array.length raw - 1 do
+            r.(k) <- raw.(k) -. sav.(k)
+          done;
+          r
     in
-    let serial_reduced = Array.fold_left ( +. ) 0.0 reduced in
+    let scaled = child_savings.(id) <> None in
+    let scale k = if raw.(k) > 0.0 then reduced.(k) /. raw.(k) else 1.0 in
+    let serial_reduced = Model.sum_costs reduced in
     let overall_scale = if raw_total > 0.0 then serial_reduced /. raw_total else 1.0 in
     (* Active register LCD set under the reduc flag. *)
     let active_tracks =
@@ -118,19 +122,31 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
     in
     let serial_static = ref (call_violation config.Config.fn inv.Profile.call_mask) in
     let reg_sync_delta = ref 0.0 in
-    let conflicts = Hashtbl.create (Hashtbl.length inv.Profile.mem_conflicts) in
     (* Memory conflicts apply under every model; scale the stall by the
-       consumer iteration's reduction factor. *)
-    Hashtbl.iter
-      (fun k (delta, prod) ->
-        let scale = if raw.(k) > 0 then reduced.(k) /. float_of_int raw.(k) else 1.0 in
-        let delta =
-          if knobs.helix_distance_normalized && k > prod then
-            delta /. float_of_int (k - prod)
-          else delta
-        in
-        Hashtbl.replace conflicts k (delta *. scale, prod))
-      inv.Profile.mem_conflicts;
+       consumer iteration's reduction factor. Mispredicted register LCD
+       instances join them under dep2. When neither changes anything, the
+       profile's own table is passed on, read-only. *)
+    let dep2_adds =
+      config.Config.dep = Config.Dep2
+      && List.exists (fun tr -> Ir.Vec.length tr.Profile.mispredict_iters > 0) active_tracks
+    in
+    let conflicts =
+      if not (scaled || knobs.helix_distance_normalized || dep2_adds) then
+        inv.Profile.mem_conflicts
+      else begin
+        let c = Hashtbl.create (Hashtbl.length inv.Profile.mem_conflicts) in
+        Hashtbl.iter
+          (fun k (delta, prod) ->
+            let delta =
+              if knobs.helix_distance_normalized && k > prod then
+                delta /. float_of_int (k - prod)
+              else delta
+            in
+            Hashtbl.replace c k (delta *. scale k, prod))
+          inv.Profile.mem_conflicts;
+        c
+      end
+    in
     (match config.Config.dep with
     | Config.Dep0 -> if active_tracks <> [] then serial_static := true
     | Config.Dep1 ->
@@ -160,10 +176,7 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
             | Config.Doall | Config.Pdoall -> ());
             Ir.Vec.iter
               (fun k ->
-                let scale =
-                  if raw.(k) > 0 then reduced.(k) /. float_of_int raw.(k) else 1.0
-                in
-                let d = tr.Profile.max_delta_mispredict *. scale in
+                let d = tr.Profile.max_delta_mispredict *. scale k in
                 let old_d, old_p =
                   Option.value ~default:(0.0, -1) (Hashtbl.find_opt conflicts k)
                 in
@@ -198,7 +211,7 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
     if is_parallel.(id) then Obs.Telemetry.incr c_parallel_invs;
     covered.(id) <- (if is_parallel.(id) then raw_total else child_covered.(id));
     static_covered.(id) <-
-      (match static_verdict_of inv with
+      (match inv.Profile.ls.Classify.dep.Deptest.Analysis.verdict with
       | Deptest.Analysis.Proven_doall -> raw_total
       | Deptest.Analysis.Proven_lcd _ | Deptest.Analysis.Unknown -> child_static.(id));
     (* Propagate savings and coverage to the parent. *)
@@ -225,17 +238,17 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
       prog_static := !prog_static +. static_covered.(id)
     end
   done;
-  (* Aggregate per static loop. *)
-  let by_loop = Hashtbl.create 32 in
+  (* Aggregate per static loop, in order of each loop's first invocation. *)
+  let by_slot : loop_result option array = Array.make p.Profile.n_slots None in
+  let order = ref [] in
   for id = 0 to n - 1 do
     let inv = p.Profile.invs.(id) in
-    let key = (inv.Profile.fname, inv.Profile.lid) in
-    let fs = Classify.func_static p.Profile.ms inv.Profile.fname in
-    let ls = fs.Classify.loops.(inv.Profile.lid) in
+    let ls = inv.Profile.ls in
     let cur =
-      match Hashtbl.find_opt by_loop key with
+      match by_slot.(inv.Profile.slot) with
       | Some r -> r
       | None ->
+          order := inv.Profile.slot :: !order;
           {
             fname = inv.Profile.fname;
             lid = inv.Profile.lid;
@@ -256,25 +269,26 @@ let evaluate ?(knobs = default_knobs) (p : Profile.profile) (config : Config.t) 
       (* recompute cheaply: final when serial equals reduced serial *)
       match child_savings.(id) with
       | None -> raw_total
-      | Some sav -> raw_total -. Array.fold_left ( +. ) 0.0 sav
+      | Some sav -> raw_total -. Model.sum_costs sav
     in
-    Hashtbl.replace by_loop key
-      {
-        cur with
-        invocations = cur.invocations + 1;
-        parallel_invocations =
-          (cur.parallel_invocations + if is_parallel.(id) then 1 else 0);
-        serial_cost = cur.serial_cost +. serial_reduced;
-        final_cost = cur.final_cost +. final.(id);
-        mem_dep_manifestations = cur.mem_dep_manifestations + inv.Profile.n_mem_deps;
-        conflicting_iterations =
-          cur.conflicting_iterations + Hashtbl.length inv.Profile.mem_conflicts;
-        total_iterations = cur.total_iterations + Profile.n_iters inv;
-      }
+    by_slot.(inv.Profile.slot) <-
+      Some
+        {
+          cur with
+          invocations = cur.invocations + 1;
+          parallel_invocations =
+            (cur.parallel_invocations + if is_parallel.(id) then 1 else 0);
+          serial_cost = cur.serial_cost +. serial_reduced;
+          final_cost = cur.final_cost +. final.(id);
+          mem_dep_manifestations = cur.mem_dep_manifestations + inv.Profile.n_mem_deps;
+          conflicting_iterations =
+            cur.conflicting_iterations + Hashtbl.length inv.Profile.mem_conflicts;
+          total_iterations = cur.total_iterations + Profile.n_iters inv;
+        }
   done;
   let loops =
-    Hashtbl.fold (fun _ r acc -> r :: acc) by_loop []
-    |> List.sort (fun a b -> Float.compare b.serial_cost a.serial_cost)
+    List.rev_map (fun slot -> Option.get by_slot.(slot)) !order
+    |> List.stable_sort (fun a b -> Float.compare b.serial_cost a.serial_cost)
   in
   let total = p.Profile.total_cost in
   let parallel_cost = Float.max 1.0 (float_of_int total -. !prog_savings) in

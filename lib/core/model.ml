@@ -21,9 +21,23 @@ type input = {
   serial_static : bool;
 }
 
-let serial_cost inp = Array.fold_left ( +. ) 0.0 inp.iter_costs
+(* Explicit loops: [Array.fold_left] would box the float accumulator at
+   every iteration. *)
+let sum_costs (a : float array) =
+  let s = ref 0.0 in
+  for k = 0 to Array.length a - 1 do
+    s := !s +. a.(k)
+  done;
+  !s
 
-let slowest_iter inp = Array.fold_left Float.max 0.0 inp.iter_costs
+let serial_cost inp = sum_costs inp.iter_costs
+
+let slowest_iter inp =
+  let m = ref 0.0 in
+  for k = 0 to Array.length inp.iter_costs - 1 do
+    m := Float.max !m inp.iter_costs.(k)
+  done;
+  !m
 
 let num_conflicting inp = Hashtbl.length inp.conflicts
 
@@ -47,14 +61,17 @@ let pdoall_cost ?(cutoff = pdoall_conflict_cutoff) inp : float option =
     let cost = ref 0.0 and phase_max = ref 0.0 in
     let phase_start = ref 0 in
     let restarts = ref 0 in
+    let any_conflict = Hashtbl.length inp.conflicts > 0 in
     for k = 0 to n - 1 do
-      (match Hashtbl.find_opt inp.conflicts k with
-      | Some (_, prod) when prod >= !phase_start && k > !phase_start ->
-          cost := !cost +. !phase_max;
-          phase_max := 0.0;
-          phase_start := k;
-          incr restarts
-      | Some _ | None -> ());
+      if any_conflict then begin
+        match Hashtbl.find_opt inp.conflicts k with
+        | Some (_, prod) when prod >= !phase_start && k > !phase_start ->
+            cost := !cost +. !phase_max;
+            phase_max := 0.0;
+            phase_start := k;
+            incr restarts
+        | Some _ | None -> ()
+      end;
       phase_max := Float.max !phase_max inp.iter_costs.(k)
     done;
     if float_of_int !restarts > cutoff *. float_of_int n then None

@@ -20,6 +20,9 @@ type input = {
       (** the configuration renders this loop unconditionally sequential *)
 }
 
+(** Left-to-right sum of a cost array (no per-element boxing). *)
+val sum_costs : float array -> float
+
 val serial_cost : input -> float
 
 val slowest_iter : input -> float

@@ -136,12 +136,12 @@ fn main() -> int {
   Array.iteri
     (fun id inv ->
       Alcotest.(check bool) "parent precedes child" true (inv.Loopa.Profile.parent < id);
-      let costs = Loopa.Profile.iter_costs inv in
-      Alcotest.(check int) "iteration costs cover the invocation"
-        (inv.Loopa.Profile.end_clock - inv.Loopa.Profile.start_clock)
-        (Array.fold_left ( + ) 0 costs);
+      let costs = inv.Loopa.Profile.costs in
+      Alcotest.(check (float 0.0)) "iteration costs cover the invocation"
+        (float_of_int (inv.Loopa.Profile.end_clock - inv.Loopa.Profile.start_clock))
+        (Array.fold_left ( +. ) 0.0 costs);
       Array.iter
-        (fun c -> Alcotest.(check bool) "positive iteration cost" true (c > 0))
+        (fun c -> Alcotest.(check bool) "positive iteration cost" true (c > 0.0))
         costs)
     p.Loopa.Profile.invs;
   let outer = p.Loopa.Profile.invs.(0) in
@@ -378,6 +378,40 @@ let test_report_loops () =
       Alcotest.(check string) "in main" "main" lr.Loopa.Evaluate.fname)
     r.Loopa.Evaluate.loops
 
+(* Loops of equal serial cost are reported in order of first invocation.
+   Four identical loops in sequence: every pair ties. *)
+let test_report_tie_order () =
+  let a =
+    analyze
+      {|
+fn main() -> int {
+  var a: int[] = new int[8];
+  for (var i: int = 0; i < 8; i = i + 1) { a[i] = a[i] + i; }
+  for (var i: int = 0; i < 8; i = i + 1) { a[i] = a[i] + i; }
+  for (var i: int = 0; i < 8; i = i + 1) { a[i] = a[i] + i; }
+  for (var i: int = 0; i < 8; i = i + 1) { a[i] = a[i] + i; }
+  print_int(a[7]);
+  return 0;
+}
+|}
+  in
+  let invs = a.Loopa.Driver.profile.Loopa.Profile.invs in
+  let first_invoked = Array.to_list (Array.map (fun inv -> inv.Loopa.Profile.lid) invs) in
+  let r = Loopa.Driver.evaluate a (cfg "reduc0-dep0-fn0 DOALL") in
+  let costs = List.map (fun lr -> lr.Loopa.Evaluate.serial_cost) r.Loopa.Evaluate.loops in
+  Alcotest.(check (list (float 0.0))) "all four tie" (List.init 4 (fun _ -> List.hd costs)) costs;
+  Alcotest.(check (list int)) "first-invocation order" first_invoked
+    (List.map (fun lr -> lr.Loopa.Evaluate.lid) r.Loopa.Evaluate.loops)
+
+(* Header-phi value envelopes are recorded only for range checking. *)
+let test_phi_obs_only_when_observing () =
+  let count observe_ranges =
+    let a = Loopa.Driver.analyze_source ~observe_ranges predictable_lcd_src in
+    Hashtbl.length a.Loopa.Driver.profile.Loopa.Profile.phi_obs
+  in
+  Alcotest.(check int) "default profile records none" 0 (count false);
+  Alcotest.(check bool) "observe_ranges records" true (count true > 0)
+
 let () =
   Alcotest.run "core"
     [
@@ -392,7 +426,12 @@ let () =
           Alcotest.test_case "phi classes" `Quick test_classify_classes;
           Alcotest.test_case "purity" `Quick test_purity;
         ] );
-      ("profile", [ Alcotest.test_case "structure" `Quick test_profile_structure ]);
+      ( "profile",
+        [
+          Alcotest.test_case "structure" `Quick test_profile_structure;
+          Alcotest.test_case "phi values only when observing" `Quick
+            test_phi_obs_only_when_observing;
+        ] );
       ( "evaluate",
         [
           Alcotest.test_case "independent loop" `Quick test_independent_loop_parallel;
@@ -410,5 +449,6 @@ let () =
         [
           Alcotest.test_case "taxonomy" `Quick test_taxonomy;
           Alcotest.test_case "per-loop report" `Quick test_report_loops;
+          Alcotest.test_case "per-loop report tie order" `Quick test_report_tie_order;
         ] );
     ]

@@ -236,6 +236,25 @@ let test_fuzz_corpus () =
     check_one_with_repro seed
   done
 
+(* The profiler's memory RAW detection agrees with the naive reference
+   (Mem_oracle) on every corpus program, with static pruning on and off. *)
+let test_mem_raw_oracle () =
+  let conflicted = ref 0 in
+  for seed = 1 to fuzz_count do
+    List.iter
+      (fun static_prune ->
+        let ms = Loopa.Driver.prepare (Frontend.compile_exn (gen_program seed)) in
+        let _, n =
+          Mem_oracle.check ~what:(Printf.sprintf "seed %d" seed) ~fuel:10_000_000
+            ~static_prune ms
+        in
+        conflicted := !conflicted + n)
+      [ true; false ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "conflicts exercised (%d invocations)" !conflicted)
+    true (!conflicted > 0)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -244,5 +263,6 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d random programs" fuzz_count)
             `Slow test_fuzz_corpus;
+          Alcotest.test_case "memory RAW oracle" `Slow test_mem_raw_oracle;
         ] );
     ]

@@ -102,6 +102,103 @@ let prop_perfect_stream_no_misses =
       let misses = List.length (List.filter not (Predictors.Hybrid.hits h stream)) in
       misses <= 2)
 
+(* Reference FCM with the dense context table: every one of the
+   [2^table_bits] slots stored, the history kept as a list. *)
+let dense_fcm ~order ~table_bits () : Predictors.Predictor.t =
+  let table_size = 1 lsl table_bits in
+  let table : int64 option array = Array.make table_size None in
+  let history = ref [] in
+  let hash_history () =
+    if List.length !history < order then None
+    else
+      Some
+        (List.fold_left
+           (fun acc v ->
+             let h =
+               Int64.to_int
+                 (Int64.logand
+                    (Int64.mul (Int64.logxor v (Int64.of_int acc)) 0x9E3779B97F4A7C15L)
+                    Int64.max_int)
+             in
+             h land (table_size - 1))
+           5381 !history)
+  in
+  {
+    Predictors.Predictor.name = Printf.sprintf "fcm-%d" order;
+    predict = (fun () -> match hash_history () with Some h -> table.(h) | None -> None);
+    train =
+      (fun v ->
+        (match hash_history () with Some h -> table.(h) <- Some v | None -> ());
+        history := v :: !history;
+        if List.length !history > order then
+          history := List.filteri (fun i _ -> i < order) !history);
+    reset =
+      (fun () ->
+        Array.fill table 0 table_size None;
+        history := []);
+  }
+
+(* A stream of values from a small alphabet (so contexts recur), with
+   resets ([None]) mixed in. *)
+let stream_with_resets =
+  QCheck.(list_of_size (Gen.int_range 0 80) (option ~ratio:0.9 (int_range 0 15)))
+
+(* Property: the sparse-table FCM predicts exactly what the dense one does,
+   also when tiny tables force context collisions. Below 4 bits the slot
+   partition does not depend on the order values are hashed in; 4-5 bits
+   make it matter. *)
+let prop_fcm_matches_dense =
+  QCheck.Test.make ~name:"fcm = dense-table fcm" ~count:300
+    QCheck.(triple (int_range 1 3) (int_range 1 5) stream_with_resets)
+    (fun (order, table_bits, ops) ->
+      let p = Predictors.Fcm.create ~order ~table_bits () in
+      let q = dense_fcm ~order ~table_bits () in
+      List.for_all
+        (fun op ->
+          match op with
+          | None ->
+              p.Predictors.Predictor.reset ();
+              q.Predictors.Predictor.reset ();
+              true
+          | Some x ->
+              let v = Int64.of_int x in
+              let same = p.Predictors.Predictor.predict () = q.Predictors.Predictor.predict () in
+              p.Predictors.Predictor.train v;
+              q.Predictors.Predictor.train v;
+              same)
+        ops)
+
+(* Property: the default hybrid bank gives the hit sequence it gives with
+   the dense-table FCM in its place. *)
+let prop_hybrid_matches_dense_fcm =
+  QCheck.Test.make ~name:"hybrid hits = with dense-table fcm" ~count:300 stream_with_resets
+    (fun ops ->
+      let h = Predictors.Hybrid.create () in
+      let d =
+        Predictors.Hybrid.create
+          ~components:
+            (Some
+               [
+                 Predictors.Last_value.create ();
+                 Predictors.Stride.create ();
+                 Predictors.Two_delta.create ();
+                 dense_fcm ~order:Predictors.Fcm.default_order
+                   ~table_bits:Predictors.Fcm.default_table_bits ();
+               ])
+          ()
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | None ->
+              Predictors.Hybrid.reset h;
+              Predictors.Hybrid.reset d;
+              true
+          | Some x ->
+              let v = Int64.of_int x in
+              Predictors.Hybrid.step h v = Predictors.Hybrid.step d v)
+        ops)
+
 let test_bits_of_rv () =
   Alcotest.(check int64) "int bits" 5L (Predictors.Hybrid.bits_of_rv (Interp.Rvalue.Vint 5L));
   Alcotest.(check int64) "bool bits" 1L
@@ -127,5 +224,7 @@ let () =
           Alcotest.test_case "bits_of_rv" `Quick test_bits_of_rv;
           QCheck_alcotest.to_alcotest prop_hybrid_dominates;
           QCheck_alcotest.to_alcotest prop_perfect_stream_no_misses;
+          QCheck_alcotest.to_alcotest prop_fcm_matches_dense;
+          QCheck_alcotest.to_alcotest prop_hybrid_matches_dense_fcm;
         ] );
     ]

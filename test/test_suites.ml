@@ -158,6 +158,33 @@ let test_analysis_smoke () =
         (r.Loopa.Evaluate.coverage_pct >= 0.0 && r.Loopa.Evaluate.coverage_pct <= 100.0))
     [ "181_mcf"; "179_art"; "pntrch01" ]
 
+(* The profiler's shadow-vector RAW detection against the naive
+   per-invocation reference (Mem_oracle), on every registry program, with
+   static pruning on and off. The fuel cuts about half of the programs
+   short, so truncated profiles are covered too. *)
+let test_mem_raw_oracle () =
+  let truncated = ref 0 and conflicted = ref 0 in
+  List.iter
+    (fun (b : Suites.Suite.benchmark) ->
+      List.iter
+        (fun static_prune ->
+          let ms = Loopa.Driver.prepare (Frontend.compile_exn b.Suites.Suite.source) in
+          let p, n =
+            Mem_oracle.check ~what:b.Suites.Suite.name ~fuel:300_000 ~static_prune ms
+          in
+          if p.Loopa.Profile.truncated then incr truncated;
+          conflicted := !conflicted + n)
+        [ true; false ])
+    (Suites.Suite.all ());
+  let runs = 2 * List.length (Suites.Suite.all ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "some but not all of %d runs truncate (%d did)" runs !truncated)
+    true
+    (!truncated > 0 && !truncated < runs);
+  Alcotest.(check bool)
+    (Printf.sprintf "conflicts exercised (%d invocations)" !conflicted)
+    true (!conflicted > 100)
+
 let () =
   Alcotest.run "suites"
     [
@@ -167,6 +194,7 @@ let () =
           Alcotest.test_case "categories" `Quick test_categories;
           Alcotest.test_case "loops present" `Quick test_every_benchmark_has_loops;
           Alcotest.test_case "analysis smoke" `Slow test_analysis_smoke;
+          Alcotest.test_case "memory RAW oracle" `Slow test_mem_raw_oracle;
         ] );
       ("golden", List.map run_case golden);
     ]
