@@ -137,8 +137,8 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run tasks across $(docv) forked worker processes with dynamic \
-           work-stealing; 0 means one per detected core. Results (and the \
+          "Run tasks across $(docv) forked worker processes, one task per \
+           worker at a time; 0 means one per detected core. Results (and the \
            campaign checkpoint) are identical to a serial run.")
 
 let resolve_jobs jobs =

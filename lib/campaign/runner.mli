@@ -25,8 +25,8 @@ type error =
           resume skips it rather than re-running a known-hung task *)
 
 (** How tasks are executed: [Serial] in-process (the reference semantics),
-    or [Forked jobs] across a {!Exec.Pool} of forked workers with dynamic
-    work-stealing. [Forked j] with [j <= 1] degrades to [Serial]. *)
+    or [Forked jobs] across a {!Exec.Pool} of forked workers, one task
+    per worker at a time. [Forked j] with [j <= 1] degrades to [Serial]. *)
 type executor = Serial | Forked of int
 
 (** Raised by {!run} after a SIGINT/SIGTERM: every already-decided result

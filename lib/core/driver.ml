@@ -302,9 +302,6 @@ let evaluate ?knobs (a : analysis) (config : Config.t) : Evaluate.report =
   | Error msg -> raise (Config.Bad_config msg));
   Evaluate.evaluate ?knobs a.profile config
 
-let evaluate_all (a : analysis) (configs : Config.t list) : Evaluate.report list =
-  List.map (evaluate a) configs
-
 (* Plain uninstrumented run (e.g. to check program output). *)
 let run_source ?(fuel = Config.default_fuel) (src : string) : Interp.Machine.outcome =
   let m = Frontend.compile_exn src in

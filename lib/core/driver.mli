@@ -146,7 +146,5 @@ val analyze_module :
     @raise Config.Bad_config if the configuration is invalid *)
 val evaluate : ?knobs:Evaluate.knobs -> analysis -> Config.t -> Evaluate.report
 
-val evaluate_all : analysis -> Config.t list -> Evaluate.report list
-
 (** Compile and run a program without instrumentation (checksums, demos). *)
 val run_source : ?fuel:int -> string -> Interp.Machine.outcome

@@ -1,8 +1,7 @@
-(* Fork-based worker pool with chunked dispatch, work-stealing, reaping
-   and supervised respawn (see the .mli for the contract). The parent
-   owns the queue and all bookkeeping; workers are a dumb loop: read a
-   chunk, announce each task ("start"), run it, report ("done"/"fail"),
-   hand unstarted tasks back when asked ("steal" -> "stolen"), and send
+(* Fork-based worker pool with one-task-at-a-time dispatch, reaping and
+   supervised respawn (see the .mli for the contract). The parent owns
+   the queue and all bookkeeping; workers are a blocking loop: read a
+   task, announce it ("start"), run it, report ("done"/"fail"), and send
    an epilogue ("bye") on "quit". One pipe pair per worker; frames via
    Exec.Ipc.
 
@@ -25,7 +24,6 @@ type outcome =
 type stats = {
   forked : int;
   respawned : int;
-  steals : int;
   tasks_lost : int;
   timeouts : int;
   backoff_waits : int;
@@ -38,7 +36,6 @@ let zero_stats =
   {
     forked = 0;
     respawned = 0;
-    steals = 0;
     tasks_lost = 0;
     timeouts = 0;
     backoff_waits = 0;
@@ -71,27 +68,10 @@ let msg_fail i m =
   Json.Obj
     [ ("op", Json.String "fail"); ("i", Json.Int i); ("msg", Json.String m) ]
 
-let msg_stolen is =
-  Json.Obj
-    [
-      ("op", Json.String "stolen");
-      ("is", Json.List (List.map (fun i -> Json.Int i) is));
-    ]
-
 let msg_bye e = Json.Obj [ ("op", Json.String "bye"); ("e", e) ]
 
-let msg_chunk tasks =
-  Json.Obj
-    [
-      ("op", Json.String "chunk");
-      ( "tasks",
-        Json.List
-          (List.map
-             (fun (i, t) -> Json.Obj [ ("i", Json.Int i); ("t", t) ])
-             tasks) );
-    ]
-
-let msg_steal = Json.Obj [ ("op", Json.String "steal") ]
+let msg_task i t =
+  Json.Obj [ ("op", Json.String "task"); ("i", Json.Int i); ("t", t) ]
 
 let msg_quit = Json.Obj [ ("op", Json.String "quit") ]
 
@@ -117,53 +97,12 @@ let rec reap pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> "worker already reaped"
 
-let fd_readable ?(timeout = 0.0) fd =
-  match Unix.select [ fd ] [] [] timeout with
-  | r, _, _ -> r <> []
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
 (* ---- the worker loop ---- *)
 
 let worker_loop rd wr ~work ~epilogue ~chaos =
-  let pending : (int * Json.t) Queue.t = Queue.create () in
   let send j =
     try Ipc.write wr j
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> Unix._exit 1
-  in
-  let bye () =
-    let e = match epilogue with Some f -> f () | None -> Json.Null in
-    send (msg_bye e);
-    Unix._exit 0
-  in
-  let handle j =
-    match obj_op j with
-    | Some "chunk" ->
-        List.iter
-          (fun t ->
-            match (obj_int "i" t, Json.member "t" t) with
-            | Some i, Some payload -> Queue.add (i, payload) pending
-            | _ -> ())
-          (Option.value ~default:[]
-             (Option.bind (Json.member "tasks" j) Json.to_list))
-    | Some "steal" ->
-        (* Give back everything unstarted except one task to stay busy on;
-           an idle worker (empty queue) replies with nothing. *)
-        if Queue.length pending >= 2 then begin
-          let keep = Queue.pop pending in
-          let given = Queue.fold (fun acc (i, _) -> i :: acc) [] pending in
-          Queue.clear pending;
-          Queue.add keep pending;
-          send (msg_stolen (List.rev given))
-        end
-        else send (msg_stolen [])
-    | Some "quit" -> bye ()
-    | _ -> ()
-  in
-  let read_one () =
-    match Ipc.read rd with
-    | Ipc.Eof -> Unix._exit 1 (* parent died *)
-    | Ipc.Msg j -> handle j
-    | exception Ipc.Protocol_error _ -> Unix._exit 1
   in
   (* Chaos injection, after the "start" announcement so the parent knows
      which task the sabotage lands on (and the watchdog can see a
@@ -188,24 +127,30 @@ let worker_loop rd wr ~work ~epilogue ~chaos =
         Unix._exit 1
     | Some (Chaos.Delay_result d) -> d
   in
+  let run_task i payload =
+    send (msg_start i);
+    let delay = sabotage i in
+    match work payload with
+    | r ->
+        if delay > 0.0 then Unix.sleepf delay;
+        send (msg_done i r)
+    | exception e -> send (msg_fail i (Printexc.to_string e))
+  in
   while true do
-    if Queue.is_empty pending then read_one ()
-    else begin
-      (* between tasks, drain any control traffic (steal/quit) first *)
-      while (not (Queue.is_empty pending)) && fd_readable rd do
-        read_one ()
-      done;
-      match Queue.take_opt pending with
-      | None -> ()
-      | Some (i, payload) -> (
-          send (msg_start i);
-          let delay = sabotage i in
-          match work payload with
-          | r ->
-              if delay > 0.0 then Unix.sleepf delay;
-              send (msg_done i r)
-          | exception e -> send (msg_fail i (Printexc.to_string e)))
-    end
+    match Ipc.read rd with
+    | Ipc.Eof -> Unix._exit 1 (* parent died *)
+    | exception Ipc.Protocol_error _ -> Unix._exit 1
+    | Ipc.Msg j -> (
+        match obj_op j with
+        | Some "task" -> (
+            match (obj_int "i" j, Json.member "t" j) with
+            | Some i, Some payload -> run_task i payload
+            | _ -> ())
+        | Some "quit" ->
+            let e = match epilogue with Some f -> f () | None -> Json.Null in
+            send (msg_bye e);
+            Unix._exit 0
+        | _ -> ())
   done
 
 (* ---- parent-side bookkeeping ---- *)
@@ -214,10 +159,9 @@ type worker = {
   mutable pid : int;
   mutable wr : Unix.file_descr;
   mutable rd : Unix.file_descr;
-  mutable assigned : int list; (* dispatched, not yet started *)
+  mutable assigned : int option; (* dispatched, not yet started *)
   mutable running : int option;
   mutable started_at : float; (* gettimeofday when [running] was set *)
-  mutable steal_pending : bool;
   mutable alive : bool;
   mutable respawn_at : float option; (* dead slot scheduled for revival *)
 }
@@ -253,15 +197,14 @@ let fork_worker ~other_fds ~worker_init ~work ~epilogue ~chaos =
         pid;
         wr = p2c_w;
         rd = c2p_r;
-        assigned = [];
+        assigned = None;
         running = None;
         started_at = 0.0;
-        steal_pending = false;
         alive = true;
         respawn_at = None;
       }
 
-let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
+let run ~jobs ?worker_init ?epilogue ?on_epilogue ?on_complete
     ?on_ordered ?(should_stop = fun () -> false) ?task_deadline_s ?backoff
     ?breaker ?chaos ~work (tasks : Json.t array) :
     outcome option array * stats =
@@ -281,7 +224,6 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
     let next_ordered = ref 0 in
     let forked = ref 0 in
     let respawned = ref 0 in
-    let steals = ref 0 in
     let tasks_lost = ref 0 in
     let timeouts = ref 0 in
     let backoff_waits = ref 0 in
@@ -297,6 +239,15 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       incr forked;
       fork_worker ~other_fds:(other_fds ()) ~worker_init ~work ~epilogue ~chaos
     in
+    let record_failure () =
+      Option.iter
+        (fun b ->
+          let was = Breaker.tripped b in
+          Breaker.record_failure b;
+          if (not was) && Breaker.tripped b then
+            Obs.Telemetry.incr c_breaker_trips)
+        breaker
+    in
     let deliver i o =
       if outcomes.(i) = None then begin
         outcomes.(i) <- Some o;
@@ -304,23 +255,11 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         (match o with
         | Lost _ ->
             incr tasks_lost;
-            Option.iter
-              (fun b ->
-                let was = Breaker.tripped b in
-                Breaker.record_failure b;
-                if (not was) && Breaker.tripped b then
-                  Obs.Telemetry.incr c_breaker_trips)
-              breaker
+            record_failure ()
         | Timed_out _ ->
             incr timeouts;
             Obs.Telemetry.incr c_timeouts;
-            Option.iter
-              (fun b ->
-                let was = Breaker.tripped b in
-                Breaker.record_failure b;
-                if (not was) && Breaker.tripped b then
-                  Obs.Telemetry.incr c_breaker_trips)
-              breaker
+            record_failure ()
         | Done _ ->
             Backoff.reset backoff;
             Option.iter Breaker.record_success breaker);
@@ -359,20 +298,16 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
         close_quiet w.wr;
         close_quiet w.rd;
         let cause = reap w.pid in
-        if stopping then begin
-          (* interrupted run: in-flight work is simply not decided *)
-          Option.iter
-            (fun i -> if outcomes.(i) = None then Queue.add i pending)
-            w.running;
-          List.iter (fun i -> Queue.add i pending) w.assigned
-        end
-        else begin
-          Option.iter (fun i -> deliver i (Lost cause)) w.running;
-          List.iter (fun i -> Queue.add i pending) w.assigned
-        end;
+        (* an interrupted run leaves in-flight work undecided *)
+        Option.iter
+          (fun i ->
+            if not stopping then deliver i (Lost cause)
+            else if outcomes.(i) = None then Queue.add i pending)
+          w.running;
+        (* a task sent but not yet announced never ran: requeue it *)
+        Option.iter (fun i -> Queue.add i pending) w.assigned;
         w.running <- None;
-        w.assigned <- [];
-        w.steal_pending <- false;
+        w.assigned <- None;
         (* Supervised respawn: never instant — each consecutive failure
            climbs the backoff ladder (a Done resets it), so a poison
            workload can't turn the parent into a fork storm. A slot with
@@ -397,62 +332,18 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
         on_death w ~stopping:false
     in
+    (* each alive idle worker gets the next queued task; holding at most
+       one, a slow task can delay only itself *)
     let dispatch () =
-      let ws = !workers in
-      (* hand chunks to idle workers while the queue lasts *)
       Array.iter
         (fun w ->
-          if
-            w.alive && w.assigned = [] && w.running = None
-            && not (Queue.is_empty pending)
-          then begin
-            let size =
-              max 1 (min max_chunk (Queue.length pending / (2 * jobs)))
-            in
-            let chunk = ref [] in
-            for _ = 1 to size do
-              match Queue.take_opt pending with
-              | Some i -> chunk := i :: !chunk
-              | None -> ()
-            done;
-            let chunk = List.rev !chunk in
-            if chunk <> [] then begin
-              w.assigned <- chunk;
-              send_to w (msg_chunk (List.map (fun i -> (i, tasks.(i))) chunk))
-            end
-          end)
-        ws;
-      (* queue dry + idle hands: steal back the largest unstarted backlog *)
-      if Queue.is_empty pending then
-        let idle =
-          Array.exists
-            (fun w -> w.alive && w.assigned = [] && w.running = None)
-            ws
-        in
-        if idle then
-          let victim =
-            (* a worker always keeps one unstarted task for itself, so a
-               backlog of one can never be reclaimed — asking would just
-               ping-pong empty steal replies against a busy straggler *)
-            Array.fold_left
-              (fun best w ->
-                if
-                  w.alive && (not w.steal_pending)
-                  && List.length w.assigned >= 2
-                then
-                  match best with
-                  | Some b when List.length b.assigned >= List.length w.assigned
-                    ->
-                      best
-                  | _ -> Some w
-                else best)
-              None ws
-          in
-          match victim with
-          | Some v ->
-              v.steal_pending <- true;
-              send_to v msg_steal
-          | None -> ()
+          if w.alive && w.assigned = None && w.running = None then
+            match Queue.take_opt pending with
+            | Some i ->
+                w.assigned <- Some i;
+                send_to w (msg_task i tasks.(i))
+            | None -> ())
+        !workers
     in
     (* Watchdog: any announced task older than the deadline costs its
        worker a SIGKILL (which also terminates a SIGSTOP-stalled
@@ -484,7 +375,7 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
             (fun i ->
               w.running <- Some i;
               w.started_at <- Unix.gettimeofday ();
-              w.assigned <- List.filter (fun a -> a <> i) w.assigned)
+              w.assigned <- None)
             (obj_int "i" j)
       | Some "done" -> (
           match (obj_int "i" j, Json.member "r" j) with
@@ -502,19 +393,6 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
               in
               deliver i (Lost ("exception in worker: " ^ m))
           | None -> ())
-      | Some "stolen" ->
-          w.steal_pending <- false;
-          let is =
-            Option.value ~default:[]
-              (Option.bind (Json.member "is" j) Json.to_list)
-            |> List.filter_map Json.to_int
-          in
-          if is <> [] then incr steals;
-          List.iter
-            (fun i ->
-              w.assigned <- List.filter (fun a -> a <> i) w.assigned;
-              Queue.add i pending)
-            is
       | Some "bye" | _ -> () (* bye only expected during shutdown *)
     in
     let old_sigpipe =
@@ -619,7 +497,6 @@ let run ~jobs ?(max_chunk = 8) ?worker_init ?epilogue ?on_epilogue ?on_complete
       {
         forked = !forked;
         respawned = !respawned;
-        steals = !steals;
         tasks_lost = !tasks_lost;
         timeouts = !timeouts;
         backoff_waits = !backoff_waits;

@@ -1,5 +1,5 @@
-(** Exec.Pool — a fork-based multi-process worker pool with a chunked task
-    queue, dynamic work-stealing, and chaos-testable supervision.
+(** Exec.Pool — a fork-based multi-process worker pool with
+    chaos-testable supervision.
 
     The pool is generic and dependency-free: tasks and results are opaque
     {!Util.Json.t} payloads, the worker body is an ordinary closure (the
@@ -8,21 +8,16 @@
     serialization), and all IPC is length-prefixed JSON frames
     ({!Ipc}) over per-worker pipe pairs.
 
-    {b Scheduling.} The parent keeps the queue. Idle workers receive
-    chunks of [max 1 (min max_chunk (remaining / (2 * jobs)))] tasks —
-    large early chunks amortize IPC, shrinking ones avoid stragglers.
-    When the queue drains while a worker still sits on unstarted chunk
-    tasks, the parent sends it a steal request; the worker hands back
-    everything it has not started (keeping one task to stay busy) and the
-    parent re-dispatches the reclaimed tasks to idle workers. A slow task
-    can therefore delay at most itself.
+    {b Scheduling.} The parent keeps the queue and hands each idle
+    worker the next queued task. A worker holds at most one task, so
+    nothing waits behind a slow task: it can delay only itself.
 
     {b Fault isolation.} A worker that exits, is killed by a signal, or
     raises out of [work] is reaped ([waitpid]) and its in-flight task is
-    reported as {!Lost} with a human-readable cause; unstarted tasks of
-    its chunk are re-queued undamaged. Lost tasks are never retried by
-    the pool — a task that reliably kills its worker must cost one task,
-    not the run.
+    reported as {!Lost} with a human-readable cause; a task it was sent
+    but had not yet announced ("start") is re-queued undamaged. Lost
+    tasks are never retried by the pool — a task that reliably kills its
+    worker must cost one task, not the run.
 
     {b Supervision.} Three mechanisms, all off by default:
     - {b watchdog} ([task_deadline_s]): any announced task that outlives
@@ -72,7 +67,6 @@ type outcome =
 type stats = {
   forked : int;  (** workers forked, including respawns *)
   respawned : int;
-  steals : int;  (** steal requests that reclaimed at least one task *)
   tasks_lost : int;
   timeouts : int;  (** tasks delivered as {!Timed_out} by the watchdog *)
   backoff_waits : int;  (** respawns that waited on the backoff ladder *)
@@ -118,7 +112,6 @@ val detect_jobs : unit -> int
     telemetry is disabled). *)
 val run :
   jobs:int ->
-  ?max_chunk:int ->
   ?worker_init:(unit -> unit) ->
   ?epilogue:(unit -> Util.Json.t) ->
   ?on_epilogue:(Util.Json.t -> unit) ->

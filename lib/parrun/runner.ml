@@ -992,7 +992,7 @@ let dispatch (iv : inv) (tasks : (int * int) array) : shard_report option array
   in
   let work = worker_task m iv.iv_el iv.iv_entry iv.iv_seeds iv.iv_writes in
   let outs, _pstats =
-    Exec.Pool.run ~jobs:nshards ~max_chunk:1
+    Exec.Pool.run ~jobs:nshards
       ~worker_init:(fun () ->
         Machine.set_delegate m None;
         (* Shard workers are short-lived and share the parent image

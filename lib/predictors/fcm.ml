@@ -10,6 +10,10 @@ let default_order = 2
 
 let default_table_bits = 12
 
+let name order = Printf.sprintf "fcm-%d" order
+
+let default_name = name default_order
+
 let create ?(order = default_order) ?(table_bits = default_table_bits) () :
     Predictor.t =
   if order < 1 then invalid_arg "Fcm.create: order must be at least 1";
@@ -37,7 +41,7 @@ let create ?(order = default_order) ?(table_bits = default_table_bits) () :
     end
   in
   {
-    Predictor.name = Printf.sprintf "fcm-%d" order;
+    Predictor.name = (if order = default_order then default_name else name order);
     predict = (fun () -> if !slot < 0 then None else Hashtbl.find_opt table !slot);
     train =
       (fun v ->

@@ -25,14 +25,23 @@ let slot_of (p : Predictor.t) =
     misses_c = Obs.Telemetry.counter ("predictor." ^ p.Predictor.name ^ ".misses");
   }
 
+let default_components () =
+  [ Last_value.create (); Stride.create (); Two_delta.create (); Fcm.create () ]
+
+(* A bank is built per watched register of every loop invocation, so the
+   default bank's counters are interned once, on the first [create]. *)
+let default_slots = lazy (List.map slot_of (default_components ()))
+
 let create ?(components = None) () : t =
-  let components =
-    match components with
-    | Some cs -> cs
-    | None ->
-        [ Last_value.create (); Stride.create (); Two_delta.create (); Fcm.create () ]
-  in
-  { slots = List.map slot_of components }
+  match components with
+  | Some cs -> { slots = List.map slot_of cs }
+  | None ->
+      {
+        slots =
+          List.map2
+            (fun p s -> { s with p })
+            (default_components ()) (Lazy.force default_slots);
+      }
 
 let reset t = List.iter (fun s -> s.p.Predictor.reset ()) t.slots
 

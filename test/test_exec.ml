@@ -1,8 +1,9 @@
 (* The exec subsystem: IPC framing over real pipes (roundtrip, messages
    larger than the pipe buffer, clean EOF vs torn frames) and the worker
    pool's contract — index-ordered outcomes, contiguous on_ordered replay,
-   work-stealing when the queue dries up, fault isolation (a killed worker
-   costs exactly its in-flight task and is respawned), worker epilogues,
+   one task per worker so a slow task delays only itself, fault isolation
+   (a killed worker costs exactly its in-flight task and is respawned; one
+   that dies before starting its task costs nothing), worker epilogues,
    and prompt shutdown under should_stop. *)
 
 module J = Util.Json
@@ -165,29 +166,38 @@ let test_pool_outcomes_in_index_order () =
   Alcotest.(check int) "no losses" 0 stats.Pool.tasks_lost;
   Alcotest.(check int) "initial fleet only" 4 stats.Pool.forked
 
-(* ---- pool: work-stealing ---- *)
+(* ---- pool: one task per worker ---- *)
 
-let test_pool_steals_from_straggler () =
-  (* jobs=2, max_chunk=8, 12 tasks: the first chunks are 3 tasks each, and
-     task 0 sleeps — so one worker finishes the whole tail while the other
-     still sits on unstarted chunk-mates, which the parent must steal back. *)
+let test_pool_slow_task_delays_only_itself () =
+  (* jobs=2, 12 tasks, task 0 sleeps: nothing is queued behind it on its
+     worker, so the other worker runs the whole tail and every other task
+     finishes before task 0 *)
   let work payload =
     let i = task_index payload in
     if i = 0 then Unix.sleepf 0.5;
-    J.Int i
+    J.Obj [ ("i", J.Int i); ("finished", J.Float (Unix.gettimeofday ())) ]
   in
-  let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:8 ~work (Array.init 12 (fun i -> J.Int i))
+  let outcomes, _ = Pool.run ~jobs:2 ~work (Array.init 12 (fun i -> J.Int i)) in
+  let finished =
+    Array.mapi
+      (fun i o ->
+        match o with
+        | Some (Pool.Done r) -> (
+            Alcotest.check json "result index" (J.Int i)
+              (Option.value ~default:J.Null (J.member "i" r));
+            match J.member "finished" r with
+            | Some (J.Float t) -> t
+            | _ -> Alcotest.fail "result lacks its finish time")
+        | _ -> Alcotest.fail "task lost or undecided")
+      outcomes
   in
   Array.iteri
-    (fun i o ->
-      match o with
-      | Some (Pool.Done r) -> Alcotest.check json "result" (J.Int i) r
-      | _ -> Alcotest.fail "task lost or undecided")
-    outcomes;
-  Alcotest.(check bool)
-    ("at least one steal, got " ^ string_of_int stats.Pool.steals)
-    true (stats.Pool.steals >= 1)
+    (fun i t ->
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "task %d finished before the slow task 0" i)
+          true (t < finished.(0)))
+    finished
 
 (* ---- pool: fault isolation ---- *)
 
@@ -202,7 +212,7 @@ let test_pool_killed_worker_costs_one_task () =
     J.Int i
   in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~work (Array.init 8 (fun i -> J.Int i))
+    Pool.run ~jobs:2 ~work (Array.init 8 (fun i -> J.Int i))
   in
   Array.iteri
     (fun i o ->
@@ -220,6 +230,51 @@ let test_pool_killed_worker_costs_one_task () =
     (stats.Pool.respawned >= 1);
   Alcotest.(check int) "forked = fleet + respawns"
     (2 + stats.Pool.respawned) stats.Pool.forked
+
+let test_pool_death_before_start_costs_no_task () =
+  (* exactly one worker (whichever creates the marker first) dies in
+     worker_init, after its first task was sent but before it announced
+     it: that task goes back to the queue, so nothing is lost *)
+  let marker = Filename.temp_file "pool_death" ".marker" in
+  Sys.remove marker;
+  let worker_init () =
+    match
+      Unix.openfile marker [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o600
+    with
+    | fd ->
+        Unix.close fd;
+        Unix._exit 3
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  in
+  let work payload =
+    (* keep the queue non-empty past the backoff delay so the respawn
+       actually happens *)
+    Unix.sleepf 0.03;
+    payload
+  in
+  let backoff = Exec.Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
+  let outcomes, stats, died =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
+      (fun () ->
+        let outcomes, stats =
+          Pool.run ~jobs:2 ~worker_init ~backoff ~work
+            (Array.init 8 (fun i -> J.Int i))
+        in
+        (outcomes, stats, Sys.file_exists marker))
+  in
+  Alcotest.(check bool) "a worker died in worker_init" true died;
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Some (Pool.Done r) -> Alcotest.check json "result" (J.Int i) r
+      | Some (Pool.Lost c) -> Alcotest.fail ("task lost: " ^ c)
+      | Some (Pool.Timed_out _) -> Alcotest.fail "spurious timeout"
+      | None -> Alcotest.fail "undecided task")
+    outcomes;
+  Alcotest.(check int) "no task lost" 0 stats.Pool.tasks_lost;
+  Alcotest.(check bool) "the dead worker was respawned" true
+    (stats.Pool.respawned >= 1)
 
 let test_pool_worker_exception_is_lost_not_fatal () =
   let work payload =
@@ -344,7 +399,7 @@ let test_pool_watchdog_reaps_stalled_task () =
     J.Int i
   in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~task_deadline_s:0.5 ~work
+    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~work
       (Array.init 4 (fun i -> J.Int i))
   in
   (match outcomes.(victim) with
@@ -367,7 +422,7 @@ let test_pool_watchdog_reaps_sigstopped_worker () =
   let work payload = J.Int (task_index payload) in
   let t0 = Unix.gettimeofday () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~task_deadline_s:0.5 ~chaos ~work
+    Pool.run ~jobs:2 ~task_deadline_s:0.5 ~chaos ~work
       (Array.init 5 (fun i -> J.Int i))
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -398,7 +453,7 @@ let test_pool_breaker_gives_up_early () =
   let breaker = Breaker.create ~threshold:2 () in
   let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~breaker ~backoff ~work
+    Pool.run ~jobs:2 ~breaker ~backoff ~work
       (Array.init 12 (fun i -> J.Int i))
   in
   (match stats.Pool.gave_up with
@@ -421,7 +476,7 @@ let test_pool_chaos_lethal_faults_cost_their_task () =
   let work payload = J.Int (task_index payload * 2) in
   let backoff = Backoff.create ~base_s:0.01 ~max_s:0.02 ~seed:0 () in
   let outcomes, stats =
-    Pool.run ~jobs:2 ~max_chunk:1 ~backoff ~chaos ~work
+    Pool.run ~jobs:2 ~backoff ~chaos ~work
       (Array.init 6 (fun i -> J.Int i))
   in
   let lethal = [ 1; 3; 4 ] in
@@ -483,10 +538,12 @@ let () =
         [
           Alcotest.test_case "outcomes in index order" `Quick
             test_pool_outcomes_in_index_order;
-          Alcotest.test_case "steals from a straggler" `Quick
-            test_pool_steals_from_straggler;
+          Alcotest.test_case "a slow task delays only itself" `Quick
+            test_pool_slow_task_delays_only_itself;
           Alcotest.test_case "killed worker costs one task" `Quick
             test_pool_killed_worker_costs_one_task;
+          Alcotest.test_case "a worker that dies before starting costs no task"
+            `Quick test_pool_death_before_start_costs_no_task;
           Alcotest.test_case "worker exception is Lost" `Quick
             test_pool_worker_exception_is_lost_not_fatal;
           Alcotest.test_case "epilogues collected" `Quick

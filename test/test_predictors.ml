@@ -199,6 +199,44 @@ let prop_hybrid_matches_dense_fcm =
               Predictors.Hybrid.step h v = Predictors.Hybrid.step d v)
         ops)
 
+(* With telemetry on, running a bank over a stream moves each component's
+   predictor.<name>.hits/misses counters by exactly that component's own
+   hit and miss counts. The default bank is checked on two successive
+   banks, so the second runs on the counters interned by the first. *)
+let test_hybrid_component_counters () =
+  let stream = [ 1L; 2L; 3L; 5L; 5L; 5L; 9L; 1L; 2L; 3L; 5L; 5L; 7L; 9L; 11L ] in
+  let value (p : Predictors.Predictor.t) outcome =
+    Obs.Telemetry.value
+      (Obs.Telemetry.counter ("predictor." ^ p.Predictors.Predictor.name ^ outcome))
+  in
+  (* [fresh ()] builds standalone copies of the bank's components *)
+  let check label fresh components =
+    let before = List.map (fun p -> (value p ".hits", value p ".misses")) (fresh ()) in
+    ignore (Predictors.Hybrid.hits (Predictors.Hybrid.create ~components ()) stream);
+    List.iter2
+      (fun (p : Predictors.Predictor.t) (h0, m0) ->
+        let hits = hit_count p stream in
+        let what = Printf.sprintf "%s: %s %s" label p.Predictors.Predictor.name in
+        Alcotest.(check int) (what "hits") hits (value p ".hits" - h0);
+        Alcotest.(check int) (what "misses") (List.length stream - hits)
+          (value p ".misses" - m0))
+      (fresh ()) before
+  in
+  let default_bank () =
+    [
+      Predictors.Last_value.create ();
+      Predictors.Stride.create ();
+      Predictors.Two_delta.create ();
+      Predictors.Fcm.create ();
+    ]
+  in
+  let ablation () = [ Predictors.Stride.create () ] in
+  Obs.Telemetry.enable ();
+  Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
+      check "first default bank" default_bank None;
+      check "second default bank" default_bank None;
+      check "one-component bank" ablation (Some (ablation ())))
+
 let test_bits_of_rv () =
   Alcotest.(check int64) "int bits" 5L (Predictors.Hybrid.bits_of_rv (Interp.Rvalue.Vint 5L));
   Alcotest.(check int64) "bool bits" 1L
@@ -226,5 +264,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_perfect_stream_no_misses;
           QCheck_alcotest.to_alcotest prop_fcm_matches_dense;
           QCheck_alcotest.to_alcotest prop_hybrid_matches_dense_fcm;
+          Alcotest.test_case "per-component counters" `Quick
+            test_hybrid_component_counters;
         ] );
     ]
